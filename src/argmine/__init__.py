@@ -46,11 +46,8 @@ from .pipeline import ExperimentConfig, load_csv, run_experiment, run_grid, spli
 from .pruned_search import (
     SearchConfig,
     Theory,
-    filter_relevant,
     find_exceptions,
-    join_premises,
     learn_pruned,
-    merge_same_premise,
     search_arguments,
 )
 

@@ -11,26 +11,30 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from typing import Any
 
-from .case_model import build_case_model, case_model_from_json, literals
-from .dectree import TreeNode, default_grid, learn_tree, tree_to_rules, tune_tree
+from .case_model import case_model_from_json
+from .discretize import BinningScheme
 from .errors import InputError, InvariantError
-from .hero import RuleList, learn_hero, learn_hero_multi
-from .inference import detect_self_attack, evaluate, predict_rule_list, predict_theory
+from .hero import learn_hero, learn_hero_multi
+from .inference import detect_self_attack, evaluate
 from .pipeline import (
+    BINNINGS,
+    LEARNERS,
     ExperimentConfig,
-    TABLE_HEADER,
     Table,
     apply_schemes,
     fit_schemes,
     format_table,
+    learn_model,
     load_csv,
-    resolve_dataset,
+    load_model,
+    predict_rows,
     run_experiment,
     run_grid,
 )
-from .pruned_search import SearchConfig, Theory, learn_pruned
+from .pruned_search import SearchConfig, learn_pruned
 
 
 def _bins_value(text: str):
@@ -41,8 +45,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with an ExperimentConfig; flags override")
     parser.add_argument("--dataset-path", dest="dataset_path")
     parser.add_argument("--target")
-    parser.add_argument("--learner", choices=("pruned_search", "hero", "dectree"))
-    parser.add_argument("--binning", choices=("equal-width", "equal-depth", "kmeans", "dbscan", "opt"))
+    parser.add_argument("--learner", choices=LEARNERS)
+    parser.add_argument("--binning", choices=BINNINGS)
     parser.add_argument("--bins", type=_bins_value)
     parser.add_argument("--max-premise-size", dest="max_premise_size", type=int)
     parser.add_argument("--exception-depth", dest="exception_depth", type=int)
@@ -51,18 +55,17 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", dest="output_dir")
 
 
-def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+def _experiment_config(args: argparse.Namespace, **fixed: Any) -> ExperimentConfig:
+    """Config from ``--config``, overridden by flags, then by ``fixed``."""
     data: dict[str, Any] = {}
-    if args.config:
+    if getattr(args, "config", None):
         with open(args.config) as f:
             data.update(json.load(f))
-    for key in (
-        "dataset_path", "target", "learner", "binning", "bins",
-        "max_premise_size", "exception_depth", "split_fraction", "seed", "output_dir",
-    ):
-        value = getattr(args, key, None)
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            data[key] = value
+            data[f.name] = value
+    data.update(fixed)
     return ExperimentConfig.from_json(data)
 
 
@@ -127,91 +130,25 @@ def cmd_learn(args: argparse.Namespace) -> int:
         return _learn_from_case_model(args)
     if not args.target:
         raise InputError("--target is required for CSV input")
+    # the whole table is training data
+    config = _experiment_config(args, dataset_path=args.input, split_fraction=1.0)
     table = load_csv(args.input)
-    only_target = args.learner == "dectree"
-    schemes = fit_schemes(table, args.binning, args.bins, args.target, only_target)
-    rows = apply_schemes(table, schemes)
-    if args.learner == "pruned_search":
-        theory = learn_pruned(
-            build_case_model(rows),
-            SearchConfig(
-                max_premise_size=args.max_premise_size or 2,
-                exception_depth=args.exception_depth if args.exception_depth is not None else 5,
-                target_attributes=(args.target,),
-            ),
-        )
-        _write_json(theory.to_json(), args.output)
-    elif args.learner == "hero":
-        rl = learn_hero(rows, args.target)
-        _write_json(rl.to_json(), args.output)
-    else:
-        feature_order = [c for c in table.columns if c != args.target]
-        params = tune_tree(rows, args.target, default_grid(len(feature_order), args.seed or 0),
-                           folds=3, feature_order=feature_order, seed=args.seed or 0)
-        tree = learn_tree(rows, args.target, params, feature_order)
-        _write_json(
-            {
-                "tree": tree.to_json(),
-                "params": params.to_json(),
-                "rules": [
-                    {
-                        "premise": {c.attribute: [c.lo, c.hi] for c in r.premise},
-                        "conclusion": {c.attribute: c.value for c in r.conclusion},
-                    }
-                    for r in tree_to_rules(tree, args.target)
-                ],
-            },
-            args.output,
-        )
+    schemes = fit_schemes(table, config.binning, config.bins, config.target, config.learner == "dectree")
+    _, model_json = learn_model(config, apply_schemes(table, schemes), table.columns)
+    _write_json(model_json, args.output)
     return 0
 
 
-def _load_model(path: str):
-    with open(path) as f:
-        data = json.load(f)
-    if "arguments" in data:
-        return Theory.from_json(data)
-    if "rules" in data and "tree" not in data:
-        return RuleList.from_json(data)
-    if "tree" in data:
-        return _tree_from_json(data["tree"])
-    raise InputError(f"{path} is not a recognized model JSON")
-
-
-def _tree_from_json(data: dict) -> TreeNode:
-    if "feature" in data:
-        return TreeNode(
-            feature=data["feature"],
-            threshold=data["threshold"],
-            left=_tree_from_json(data["left"]),
-            right=_tree_from_json(data["right"]),
-        )
-    return TreeNode(class_counts=tuple((v, c) for v, c in data["class_counts"]))
-
-
-def _predict_with(model, instance: dict, target: str):
-    if isinstance(model, Theory):
-        return predict_theory(model, instance, target)
-    if isinstance(model, RuleList):
-        return predict_rule_list(model, instance, target)
-    return model.predict(instance)
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = load_model(args.model)
     table = load_csv(args.input)
     if args.schemes:
         with open(args.schemes) as f:
-            from .discretize import BinningScheme
-
             schemes = {k: BinningScheme.from_json(v) for k, v in json.load(f).items()}
         rows = apply_schemes(table, schemes)
     else:
         rows = table.rows
-    predictions = []
-    for row in rows:
-        instance = {k: v for k, v in row.items() if k != args.target}
-        predictions.append(_predict_with(model, instance, args.target))
+    predictions = predict_rows(model, rows, args.target)
     out = args.output
     writer_target = open(out, "w", newline="") if out else sys.stdout
     try:
@@ -273,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discretize", help="fit binning schemes for CSV columns")
     p.add_argument("--input", required=True)
-    p.add_argument("--method", required=True,
-                   choices=("equal-width", "equal-depth", "kmeans", "dbscan", "opt"))
+    p.add_argument("--method", required=True, choices=BINNINGS)
     p.add_argument("--bins", type=_bins_value, default=2)
     p.add_argument("--columns", help="comma-separated column subset")
     p.add_argument("--output", help="scheme JSON path (default stdout)")
@@ -283,10 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="learn a theory/rule list/tree from CSV or case-model JSON")
     p.add_argument("--input", required=True, help="CSV file or case-model JSON")
-    p.add_argument("--learner", required=True, choices=("pruned_search", "hero", "dectree"))
+    p.add_argument("--learner", required=True, choices=LEARNERS)
     p.add_argument("--target")
-    p.add_argument("--binning", default="equal-width",
-                   choices=("equal-width", "equal-depth", "kmeans", "dbscan", "opt"))
+    p.add_argument("--binning", default="equal-width", choices=BINNINGS)
     p.add_argument("--bins", type=_bins_value, default=2)
     p.add_argument("--max-premise-size", dest="max_premise_size", type=int)
     p.add_argument("--exception-depth", dest="exception_depth", type=int)

@@ -79,8 +79,11 @@ class TreeNode:
 
     def predict(self, instance: Mapping[str, Any]) -> Any:
         node = self
-        while not node.is_leaf:
-            node = node.left if float(instance[node.feature]) < node.threshold else node.right
+        try:
+            while not node.is_leaf:
+                node = node.left if float(instance[node.feature]) < node.threshold else node.right
+        except KeyError:
+            raise InputError(f"instance lacks the feature {node.feature!r} the tree splits on") from None
         return node.prediction
 
     def depth(self) -> int:
@@ -103,6 +106,17 @@ class TreeNode:
             "left": self.left.to_json(),
             "right": self.right.to_json(),
         }
+
+    @staticmethod
+    def from_json(data: Mapping[str, Any]) -> "TreeNode":
+        if "feature" in data:
+            return TreeNode(
+                feature=data["feature"],
+                threshold=data["threshold"],
+                left=TreeNode.from_json(data["left"]),
+                right=TreeNode.from_json(data["right"]),
+            )
+        return TreeNode(class_counts=tuple((v, c) for v, c in data["class_counts"]))
 
 
 def gini(class_counts: Mapping[Any, int] | Sequence[int]) -> float:

@@ -1,7 +1,7 @@
 """Discretization of continuous columns into ordered, non-overlapping bins.
 
-Four methods are provided: equal-width, equal-depth, 1-D k-means (Lloyd
-with deterministic quantile initialization) and 1-D DBSCAN.  A silhouette
+Four methods are provided: equal-width, equal-depth, exact 1-D k-means
+(dynamic programming over the sorted values) and 1-D DBSCAN.  A silhouette
 score drives exhaustive parameter search over a caller-supplied grid.
 
 Every scheme is a sorted list of interior cut points; bin ``i`` is the
@@ -24,9 +24,6 @@ from .errors import (
     OptimizationFailedError,
     UndefinedScoreError,
 )
-
-KMEANS_TOL = 1e-6
-KMEANS_MAX_ITER = 100
 
 METHODS = ("equal-width", "equal-depth", "kmeans", "dbscan")
 
@@ -200,25 +197,6 @@ def _clusters_to_boundaries(clusters: Sequence[Sequence[float]]) -> tuple[float,
     return tuple((hi + lo) / 2.0 for (_, hi), (lo, _) in zip(ordered, ordered[1:]))
 
 
-def _lloyd_boundaries(vals: np.ndarray, k: int) -> tuple[float, ...]:
-    """Quantile-initialized Lloyd iterations; may hit a local optimum."""
-    centroids = np.quantile(vals, [(i + 0.5) / k for i in range(k)])
-    for _ in range(KMEANS_MAX_ITER):
-        assign = np.argmin(np.abs(vals[:, None] - centroids[None, :]), axis=1)
-        moved = 0.0
-        for i in range(k):
-            members = vals[assign == i]
-            if members.size:
-                new = members.mean()
-                moved = max(moved, abs(new - centroids[i]))
-                centroids[i] = new
-        if moved < KMEANS_TOL:
-            break
-    assign = np.argmin(np.abs(vals[:, None] - centroids[None, :]), axis=1)
-    clusters = [vals[assign == i] for i in range(k) if np.any(assign == i)]
-    return _clusters_to_boundaries(clusters)
-
-
 def _optimal_boundaries(vals: np.ndarray, k: int) -> tuple[float, ...]:
     """Exact 1-D k-means by dynamic programming over distinct values.
 
@@ -262,15 +240,6 @@ def _optimal_boundaries(vals: np.ndarray, k: int) -> tuple[float, ...]:
     return tuple((distinct[i - 1] + distinct[i]) / 2.0 for i in edges)
 
 
-def _partition_wss(vals: np.ndarray, boundaries: Sequence[float]) -> float:
-    labels = np.searchsorted(np.asarray(boundaries), vals, side="right")
-    total = 0.0
-    for lab in np.unique(labels):
-        members = vals[labels == lab]
-        total += float(((members - members.mean()) ** 2).sum())
-    return total
-
-
 def kmeans_1d(
     values: Sequence[float],
     k: int,
@@ -279,11 +248,9 @@ def kmeans_1d(
 ) -> BinningScheme:
     """One-dimensional k-means emitted as non-overlapping ranges.
 
-    Runs quantile-initialized Lloyd iterations (stop when the largest
-    centroid movement drops below 1e-6, cap 100 rounds) and, because Lloyd
-    can stall in a local optimum even on small inputs, an exact dynamic
-    program over the sorted distinct values; the partition with the lower
-    within-cluster sum of squares wins.  Both passes are deterministic.
+    An exact dynamic program over the sorted distinct values finds the
+    partition with the least within-cluster sum of squares; 1-D optima
+    are contiguous, so no local search (Lloyd's iterations) can beat it.
     Boundaries are midpoints between adjacent cluster extremes.
     """
     vals = np.sort(np.asarray(_check_values(values), dtype=float))
@@ -297,10 +264,7 @@ def kmeans_1d(
     if k == 1:
         return BinningScheme(attribute, "kmeans", (), params)
 
-    lloyd = _lloyd_boundaries(vals, k)
-    exact = _optimal_boundaries(vals, k)
-    best = exact if _partition_wss(vals, exact) <= _partition_wss(vals, lloyd) else lloyd
-    return BinningScheme(attribute, "kmeans", best, params)
+    return BinningScheme(attribute, "kmeans", _optimal_boundaries(vals, k), params)
 
 
 def dbscan_1d(

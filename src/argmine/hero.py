@@ -55,13 +55,7 @@ class RuleList:
 
     def first_match(self, instance: Mapping[str, Any], target: str | None = None) -> Any:
         """Value the first applicable rule assigns to the target, or None."""
-        target = target if target is not None else self.target
-        for rule in self.rules:
-            if rule.applies(instance):
-                for lit in rule.conclusion:
-                    if isinstance(lit, Literal) and lit.attribute == target:
-                        return lit.value
-        return None
+        return _first_match(self.rules, instance, target if target is not None else self.target)
 
     def to_json(self) -> dict:
         return {
@@ -196,22 +190,6 @@ class _Trainer:
                 return None  # unobserved literal: matches nothing
             m |= b
         return m
-
-    def first_match_index(self, rules: list[Rule], row_lits: frozenset) -> int:
-        for i, rule in enumerate(rules):
-            if rule.premise <= row_lits:
-                return i
-        return len(rules)
-
-    def accuracy(self, rules: list[Rule]) -> float:
-        correct = 0
-        for row_lits, actual, w in self.rows:
-            idx = self.first_match_index(rules, row_lits)
-            if idx < len(rules):
-                predicted = self._rule_value(rules[idx])
-                if predicted == actual:
-                    correct += w
-        return correct / self.total
 
     def _rule_value(self, rule: Rule):
         for lit in rule.conclusion:

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 from statistics import pstdev
 from typing import Any, Mapping, Sequence
 
 from . import datasets
 from .case_model import build_case_model
-from .dectree import TreeParams, default_grid, learn_tree, tree_to_rules, tune_tree
+from .dectree import TreeNode, default_grid, learn_tree, tree_to_rules, tune_tree
 from .discretize import (
     BinningScheme,
     DiscretizationParams,
@@ -28,7 +29,7 @@ from .discretize import (
     _build,
 )
 from .errors import InputError, OptimizationFailedError
-from .hero import learn_hero
+from .hero import RuleList, learn_hero
 from .inference import EvalReport, evaluate, predict_rule_list, predict_theory
 from .pruned_search import SearchConfig, Theory, learn_pruned
 
@@ -61,7 +62,8 @@ def load_csv(path: str) -> Table:
 
     A column is numeric when every cell parses as a float; columns mixing
     numeric and non-numeric cells are rejected with the offending row
-    number, as are ragged rows and empty cells.
+    number, as are ragged rows, empty cells and cells that parse as a
+    non-finite float (nan, inf).
     """
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
@@ -91,12 +93,16 @@ def load_csv(path: str) -> Table:
         first_bad = None
         for i, cell in enumerate(cells):
             try:
-                parsed.append(float(cell))
-                numeric += 1
+                value = float(cell)
             except ValueError:
                 parsed.append(None)
                 if first_bad is None:
                     first_bad = i
+                continue
+            if not math.isfinite(value):
+                raise InputError(f"row {i + 2} of {path}: non-finite cell {cell!r} in column {name!r}")
+            parsed.append(value)
+            numeric += 1
         if numeric == len(cells):
             columns[name] = parsed
         elif numeric == 0:
@@ -274,31 +280,11 @@ class ExperimentConfig:
             raise InputError(f"split_fraction must be in (0, 1], got {self.split_fraction}")
 
     def to_json(self) -> dict:
-        return {
-            "dataset_path": self.dataset_path,
-            "target": self.target,
-            "learner": self.learner,
-            "binning": self.binning,
-            "bins": self.bins,
-            "max_premise_size": self.max_premise_size,
-            "exception_depth": self.exception_depth,
-            "split_fraction": self.split_fraction,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "ExperimentConfig":
-        known = {
-            k: data[k]
-            for k in (
-                "dataset_path", "target", "learner", "binning", "bins",
-                "max_premise_size", "exception_depth", "split_fraction",
-                "seed", "output_dir",
-            )
-            if k in data
-        }
-        return ExperimentConfig(**known)
+        return ExperimentConfig(**{f.name: data[f.name] for f in fields(ExperimentConfig) if f.name in data})
 
 
 def resolve_dataset(path: str) -> str:
@@ -363,8 +349,70 @@ def format_table(rows: Sequence[Sequence[str]], header: Sequence[str] = TABLE_HE
     return "\n".join([fmt(header), sep, *[fmt(r) for r in rows]])
 
 
-def _instance_of(row: Mapping[str, Any], target: str) -> dict:
-    return {k: v for k, v in row.items() if k != target}
+def learn_model(
+    config: ExperimentConfig, rows: Sequence[Mapping[str, Any]], columns: Sequence[str]
+) -> tuple[Theory | RuleList | TreeNode, dict]:
+    """Learn ``config.learner`` from discretized rows; returns the model and its JSON.
+
+    ``columns`` fixes the feature order the decision tree breaks ties with.
+    The JSON is what `load_model` reads back.
+    """
+    target = config.target
+    if config.learner == "pruned_search":
+        search = SearchConfig(
+            max_premise_size=config.max_premise_size,
+            exception_depth=config.exception_depth,
+            target_attributes=(target,),
+        )
+        model = learn_pruned(build_case_model(rows), search)
+        return model, model.to_json()
+    if config.learner == "hero":
+        model = learn_hero(rows, target)
+        return model, model.to_json()
+    feature_order = [c for c in columns if c != target]
+    params = tune_tree(
+        rows, target, default_grid(len(feature_order), config.seed),
+        folds=3, feature_order=feature_order, seed=config.seed,
+    )
+    tree = learn_tree(rows, target, params, feature_order)
+    rules = [
+        {
+            "premise": {c.attribute: [c.lo, c.hi] for c in r.premise},
+            "conclusion": {c.attribute: c.value for c in r.conclusion},
+        }
+        for r in tree_to_rules(tree, target)
+    ]
+    return tree, {"tree": tree.to_json(), "params": params.to_json(), "rules": rules}
+
+
+def load_model(path: str) -> Theory | RuleList | TreeNode:
+    """Read a model JSON written from `learn_model`'s output."""
+    with open(path) as f:
+        data = json.load(f)
+    if "arguments" in data:
+        return Theory.from_json(data)
+    if "tree" in data:
+        return TreeNode.from_json(data["tree"])
+    if "rules" in data:
+        return RuleList.from_json(data)
+    raise InputError(f"{path} is not a recognized model JSON")
+
+
+def predict_rows(
+    model: Theory | RuleList | TreeNode, rows: Sequence[Mapping[str, Any]], target: str
+) -> list[Any]:
+    """The model's target value for each row (None = abstain); the target
+    column itself is hidden from the model."""
+    out = []
+    for row in rows:
+        instance = {k: v for k, v in row.items() if k != target}
+        if isinstance(model, Theory):
+            out.append(predict_theory(model, instance, target))
+        elif isinstance(model, RuleList):
+            out.append(predict_rule_list(model, instance, target))
+        else:
+            out.append(model.predict(instance))
+    return out
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -391,51 +439,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     target = config.target
     start = time.perf_counter()
     try:
-        if config.learner == "pruned_search":
-            model = build_case_model(train_rows)
-            theory = learn_pruned(
-                model,
-                SearchConfig(
-                    max_premise_size=config.max_premise_size,
-                    exception_depth=config.exception_depth,
-                    target_attributes=(target,),
-                ),
-            )
-            runtime_ms = (time.perf_counter() - start) * 1000
-            predict = lambda row: predict_theory(theory, _instance_of(row, target), target)
-            model_json = theory.to_json()
-        elif config.learner == "hero":
-            rule_list = learn_hero(train_rows, target)
-            runtime_ms = (time.perf_counter() - start) * 1000
-            predict = lambda row: predict_rule_list(rule_list, _instance_of(row, target))
-            model_json = rule_list.to_json()
-        else:
-            feature_order = [c for c in table.columns if c != target]
-            params = tune_tree(
-                train_rows, target, default_grid(len(feature_order), config.seed),
-                folds=3, feature_order=feature_order, seed=config.seed,
-            )
-            tree = learn_tree(train_rows, target, params, feature_order)
-            runtime_ms = (time.perf_counter() - start) * 1000
-            predict = lambda row: tree.predict(_instance_of(row, target))
-            model_json = {
-                "tree": tree.to_json(),
-                "params": params.to_json(),
-                "rules": [
-                    {
-                        "premise": {c.attribute: [c.lo, c.hi] for c in r.premise},
-                        "conclusion": {c.attribute: c.value for c in r.conclusion},
-                    }
-                    for r in tree_to_rules(tree, target)
-                ],
-            }
+        model, model_json = learn_model(config, train_rows, table.columns)
     except InputError as exc:
         raise InputError(f"[learn] {exc}") from exc
+    runtime_ms = (time.perf_counter() - start) * 1000
 
-    train_report = evaluate(
-        [(predict(row), row[target]) for row in train_rows], runtime_ms=runtime_ms
-    )
-    test_report = evaluate([(predict(row), row[target]) for row in test_rows])
+    def scored(rows):
+        return list(zip(predict_rows(model, rows, target), (row[target] for row in rows)))
+
+    train_report = evaluate(scored(train_rows), runtime_ms=runtime_ms)
+    test_report = evaluate(scored(test_rows))
 
     result = ExperimentResult(
         config=config,

@@ -4,19 +4,22 @@ The learner enumerates candidate premises level by level for each
 conclusion literal.  Coherence is the pruning criterion: an incoherent
 (premise, conclusion) pair can have no coherent extension of its premise,
 so the whole branch is cut.  Surviving candidates are classified as
-presumptively valid or conclusive, filtered for relevance, merged by
-premise, and annotated with recursively mined exceptions.
+presumptively valid or conclusive; the top level keeps the arguments no
+less specific premise already supports, each is annotated with
+recursively mined exceptions (grown by the same level-wise search), and
+same-premise arguments are merged.
 
 Cases and premises are compacted to integer bitmasks over the model's
 observed literals, which keeps the coherence and validity scans cheap
-even on a few hundred cases.
+even on a few hundred cases.  The definitional checks of ``case_model``
+serve only as a final consistency check on the learned theory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from itertools import combinations, islice
+from typing import Any, Iterable, Iterator, Mapping
 
 from .case_model import (
     COHERENT,
@@ -26,11 +29,8 @@ from .case_model import (
     CaseModel,
     Literal,
     argument_from_json,
-    argument_support,
     argument_to_json,
-    is_consistent,
     is_presumptively_valid,
-    literal_set_key,
 )
 from .errors import InputError, InvariantError
 
@@ -48,7 +48,6 @@ class SearchConfig:
     max_premise_size: int = 2
     exception_depth: int = 5
     target_attributes: tuple[str, ...] | None = None
-    universal_ties: bool = False
 
     def __post_init__(self):
         if self.max_premise_size < 1:
@@ -61,7 +60,6 @@ class SearchConfig:
             "max_premise_size": self.max_premise_size,
             "exception_depth": self.exception_depth,
             "target_attributes": list(self.target_attributes) if self.target_attributes else None,
-            "universal_ties": self.universal_ties,
         }
 
 
@@ -88,7 +86,6 @@ class Theory:
             max_premise_size=cfg.get("max_premise_size", 2),
             exception_depth=cfg.get("exception_depth", 5),
             target_attributes=tuple(ta) if ta else None,
-            universal_ties=cfg.get("universal_ties", False),
         )
         return Theory(
             arguments=tuple(argument_from_json(a) for a in data["arguments"]),
@@ -134,59 +131,29 @@ class _Index:
             w for cm, w in zip(self.case_masks, self.case_weights) if cm & mask == mask
         )
 
-    def scan(self, pmask: int, cmask: int, universal: bool = False):
+    def scan(self, pmask: int, cmask: int):
         """Classify (premise, conclusion) in one pass over the cases.
 
         Returns (coherent, presumptively_valid, conclusive, support) where
         support is the weight of the heaviest case containing both sides.
+        Presumptive validity takes the existential reading of weight ties:
+        the conclusion must hold in some heaviest premise case.
         """
         full = pmask | cmask
         top_w = None
-        pv_any = False
-        pv_all = True
-        coherent = False
         all_contain = True
         support = None
         for cm, w in zip(self.case_masks, self.case_weights):
             if cm & pmask == pmask:
-                holds = cm & full == full
                 if top_w is None:
                     top_w = w
-                if holds:
-                    coherent = True
+                if cm & full == full:
                     if support is None:
                         support = w
                 else:
                     all_contain = False
-                if w == top_w:
-                    if holds:
-                        pv_any = True
-                    else:
-                        pv_all = False
-        if top_w is None:
-            return False, False, False, None
-        pv = (pv_all if universal else pv_any)
-        return coherent, pv, coherent and all_contain, support
-
-
-def join_premises(frontier: Iterable[frozenset[Literal]]) -> set[frozenset[Literal]]:
-    """Combine same-size coherent premises differing in exactly two literals.
-
-    The union of such a pair has one more literal and shares most of its
-    subsets with premises already known coherent, which makes it a likely
-    candidate; unions putting two values on one attribute are dropped.
-    """
-    frontier = list(frontier)
-    out: set[frozenset[Literal]] = set()
-    for a, b in combinations(frontier, 2):
-        diff = a ^ b
-        if len(diff) != 2:
-            continue
-        l1, l2 = diff
-        if l1.attribute == l2.attribute:
-            continue
-        out.add(a | b)
-    return out
+        coherent = support is not None
+        return coherent, coherent and support == top_w, coherent and all_contain, support
 
 
 def _status(pv: bool, conclusive: bool) -> str:
@@ -195,46 +162,48 @@ def _status(pv: bool, conclusive: bool) -> str:
     return PRESUMPTIVELY_VALID if pv else COHERENT
 
 
-def _search_one_conclusion(index: _Index, concl: Literal, max_size: int, universal: bool):
-    """All coherent arguments for one conclusion literal, with statuses.
+def _coherent_extensions(
+    index: _Index, concl: Literal, base_mask: int, base_attrs: int, levels: int
+) -> Iterator[tuple[int, bool, bool, int]]:
+    """Coherent premises for ``concl`` that extend a base premise.
 
-    Level-wise growth over coherent premises only; every premise whose
-    (premise, conclusion) pair is incoherent is pruned together with all
-    of its supersets, which is safe because coherence is anti-monotone in
-    the premise.  Single-literal extensions of the coherent frontier
-    generate every candidate the two-literal join would (each join result
-    extends one of its own coherent subsets), so the join is subsumed.
+    Yields (premise mask, presumptively valid, conclusive, support) for
+    the base itself and then for every coherent extension by up to
+    ``levels`` literals, level by level; nothing if the base is
+    incoherent.  An incoherent premise is pruned together with all of its
+    supersets, which is safe because coherence is anti-monotone in the
+    premise.  Single-literal extensions of the coherent frontier generate
+    every candidate a join of two same-size premises would (each join
+    result extends one of its own coherent subsets).
     """
     cbit = index.bit[concl]
-    cattr = index.attr_bit[concl]
-    coh, pv, conclusive, support = index.scan(0, cbit, universal)
+    coh, pv, conclusive, support = index.scan(base_mask, cbit)
     if not coh:
-        return []
-    found = [(0, _status(pv, conclusive), support)]
+        return
+    yield base_mask, pv, conclusive, support
+    excluded = base_attrs | index.attr_bit[concl]
     ext_lits = [
         (index.bit[lit], index.attr_bit[lit])
         for lit in index.literals
-        if index.attr_bit[lit] != cattr
+        if not index.attr_bit[lit] & excluded
     ]
-    frontier: list[tuple[int, int]] = [(0, 0)]  # (premise mask, attribute mask)
-    for _ in range(max_size):
+    frontier: list[tuple[int, int]] = [(base_mask, base_attrs)]  # (premise, attributes)
+    for _ in range(levels):
         candidates: dict[int, int] = {}
         for pmask, amask in frontier:
             for lbit, labit in ext_lits:
                 if labit & amask:
                     continue
                 candidates.setdefault(pmask | lbit, amask | labit)
-        next_frontier: list[tuple[int, int]] = []
+        frontier = []
         for pmask, amask in candidates.items():
-            coh, pv, conclusive, support = index.scan(pmask, cbit, universal)
+            coh, pv, conclusive, support = index.scan(pmask, cbit)
             if not coh:
                 continue
-            next_frontier.append((pmask, amask))
-            found.append((pmask, _status(pv, conclusive), support))
-        frontier = next_frontier
+            frontier.append((pmask, amask))
+            yield pmask, pv, conclusive, support
         if not frontier:
             break
-    return found
 
 
 def search_arguments(
@@ -254,9 +223,10 @@ def search_arguments(
         conclusions = [lit for lit in conclusions if lit.attribute in wanted]
     out: list[Argument] = []
     for concl in conclusions:
-        for pmask, status, support in _search_one_conclusion(
-            index, concl, config.max_premise_size, config.universal_ties
+        for pmask, pv, conclusive, support in _coherent_extensions(
+            index, concl, 0, 0, config.max_premise_size
         ):
+            status = _status(pv, conclusive)
             if status == COHERENT and not include_coherent:
                 continue
             out.append(
@@ -277,85 +247,15 @@ def _single_conclusion(arg: Argument) -> Literal:
     return next(iter(arg.conclusion))
 
 
-def filter_relevant(args: Sequence[Argument]) -> list[Argument]:
-    """Drop arguments that are shadowed by a less specific counterpart.
-
-    An argument stays if no other argument has the same conclusion literal
-    and a proper subset of its premise, or if it is an exception to a
-    retained argument (its premise properly extends the retained one's and
-    its conclusion conflicts with it); the exception clause closes under a
-    fixpoint so that exceptions of exceptions survive too.
-    """
-    pool = list(args)
-    keyed = {(a.premise, _single_conclusion(a)) for a in pool}
-
-    def has_less_specific(a: Argument) -> bool:
-        c = _single_conclusion(a)
-        lits = sorted(a.premise, key=Literal.sort_key)
-        for size in range(len(lits)):
-            for sub in combinations(lits, size):
-                if (frozenset(sub), c) in keyed:
-                    return True
-        return False
-
-    retained = [a for a in pool if not has_less_specific(a)]
-    retained_set = {(a.premise, _single_conclusion(a)) for a in retained}
-    queue = list(retained)
-    while queue:
-        parent = queue.pop()
-        pc = _single_conclusion(parent)
-        for cand in pool:
-            key = (cand.premise, _single_conclusion(cand))
-            if key in retained_set:
-                continue
-            cc = _single_conclusion(cand)
-            if cc.conflicts(pc) and cand.premise > parent.premise:
-                retained_set.add(key)
-                retained.append(cand)
-                queue.append(cand)
-    retained.sort(key=Argument.sort_key)
-    return retained
-
-
-def merge_same_premise(args: Sequence[Argument]) -> list[Argument]:
-    """Merge same-premise arguments into one with the conclusion union.
-
-    Conclusions must be single literals; the merged union is asserted to
-    be internally consistent (same-premise presumptively valid conclusions
-    are expected to share a maximal case) and a violation halts with a
-    diagnostic rather than silently producing a contradictory argument.
-    The merged argument is conclusive only if every member was.
-    """
-    groups: dict[frozenset[Literal], list[Argument]] = {}
-    order: list[frozenset[Literal]] = []
-    for a in args:
-        _single_conclusion(a)
-        if a.premise not in groups:
-            order.append(a.premise)
-        groups.setdefault(a.premise, []).append(a)
-    out = []
-    for premise in order:
-        members = groups[premise]
-        conclusion = frozenset(lit for m in members for lit in m.conclusion)
-        if not is_consistent(conclusion):
-            raise InvariantError(
-                "same-premise arguments with conflicting conclusions: "
-                f"premise={sorted(map(repr, premise))} "
-                f"conclusions={sorted(map(repr, conclusion))}"
-            )
-        status = CONCLUSIVE if all(m.status == CONCLUSIVE for m in members) else PRESUMPTIVELY_VALID
-        exceptions = tuple(e for m in members for e in m.exceptions)
-        weights = [m.weight for m in members if m.weight is not None]
-        out.append(
-            Argument(
-                premise=premise,
-                conclusion=conclusion,
-                status=status,
-                exceptions=exceptions,
-                weight=min(weights) if len(weights) == len(members) else None,
-            )
-        )
-    return out
+def _shadowed(arg: Argument, keyed: set) -> bool:
+    """True iff the pool holds the same conclusion under a smaller premise."""
+    c = _single_conclusion(arg)
+    lits = sorted(arg.premise, key=Literal.sort_key)
+    for size in range(len(lits)):
+        for sub in combinations(lits, size):
+            if (frozenset(sub), c) in keyed:
+                return True
+    return False
 
 
 def find_exceptions(
@@ -398,71 +298,39 @@ def find_exceptions(
     out: list[Argument] = []
     for parent_lit in sorted(arg.conclusion, key=Literal.sort_key):
         parent_bit = index.bit[parent_lit]
-        conflict_lits = [
-            lit
-            for lit in index.literals
-            if lit.attribute == parent_lit.attribute and lit.value != parent_lit.value
-        ]
-        for concl in conflict_lits:
+        for concl in index.literals:
+            if not concl.conflicts(parent_lit):
+                continue
             cbit = index.bit[concl]
-            cattr = index.attr_bit[concl]
-            coh, _, _, _ = index.scan(base_mask, cbit)
-            if not coh:
-                continue  # no coherent extension can exist either
-            ext_lits = [
-                (index.bit[lit], index.attr_bit[lit])
-                for lit in index.literals
-                if not (index.attr_bit[lit] & (pattrs | cattr))
-            ]
-            frontier = [(base_mask, pattrs)]
-            for _ in range(len(arg.premise), cap):
-                candidates: dict[int, int] = {}
-                for pmask, amask in frontier:
-                    for lbit, labit in ext_lits:
-                        if labit & amask:
-                            continue
-                        candidates.setdefault(pmask | lbit, amask | labit)
-                next_frontier = []
-                for pmask, amask in candidates.items():
-                    coh, pv, is_concl, support = index.scan(pmask, cbit)
-                    if not coh:
-                        continue
-                    next_frontier.append((pmask, amask))
-                    if pv:
-                        # only a decisive overruling counts: under the
-                        # extended premise the conflicting value must carry
-                        # more case weight than the parent's value, else
-                        # nothing has been overruled
-                        if index.support_sum(pmask | cbit) <= index.support_sum(
-                            pmask | parent_bit
-                        ):
-                            continue
-                        exc = Argument(
-                            premise=index.literals_of(pmask),
-                            conclusion=frozenset([concl]),
-                            status=CONCLUSIVE if is_concl else PRESUMPTIVELY_VALID,
-                            weight=support,
-                        )
-                        if exc.status != CONCLUSIVE:
-                            nested = find_exceptions(
-                                model,
-                                exc,
-                                remaining_depth - 1,
-                                max_premise_size=max_premise_size,
-                                _index=index,
-                            )
-                            if nested:
-                                exc = Argument(
-                                    premise=exc.premise,
-                                    conclusion=exc.conclusion,
-                                    status=exc.status,
-                                    exceptions=tuple(nested),
-                                    weight=exc.weight,
-                                )
-                        out.append(exc)
-                frontier = next_frontier
-                if not frontier:
-                    break
+            extensions = _coherent_extensions(
+                index, concl, base_mask, pattrs, cap - len(arg.premise)
+            )
+            # the first item is the parent's own premise, which is no exception
+            for pmask, pv, conclusive, support in islice(extensions, 1, None):
+                if not pv:
+                    continue
+                # only a decisive overruling counts: under the extended
+                # premise the conflicting value must carry more case weight
+                # than the parent's value, else nothing has been overruled
+                if index.support_sum(pmask | cbit) <= index.support_sum(pmask | parent_bit):
+                    continue
+                exc = Argument(
+                    premise=index.literals_of(pmask),
+                    conclusion=frozenset([concl]),
+                    status=CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID,
+                    weight=support,
+                )
+                if not conclusive:
+                    nested = find_exceptions(
+                        model,
+                        exc,
+                        remaining_depth - 1,
+                        max_premise_size=max_premise_size,
+                        _index=index,
+                    )
+                    if nested:
+                        exc = replace(exc, exceptions=tuple(nested))
+                out.append(exc)
     out.sort(key=Argument.sort_key)
     return out
 
@@ -477,57 +345,47 @@ def _attach_exceptions(model: CaseModel, index: _Index, arg: Argument, config: S
         max_premise_size=config.max_premise_size,
         _index=index,
     )
-    if not excs:
-        return arg
-    return Argument(
-        premise=arg.premise,
-        conclusion=arg.conclusion,
-        status=arg.status,
-        exceptions=tuple(excs),
-        weight=arg.weight,
-    )
+    return replace(arg, exceptions=tuple(excs)) if excs else arg
 
 
-def _merge_groups(model: CaseModel, args: list[Argument], universal: bool) -> list[Argument]:
-    """Merge same-premise arguments, verifying joint presumptive validity.
+def _merge_same_premise(index: _Index, args: list[Argument]) -> list[Argument]:
+    """Merge same-premise arguments into one with the conclusion union.
 
-    Weight ties in the model can make two conclusions individually valid
-    but jointly invalid (or even mutually conflicting); such literals are
-    dropped deterministically, keeping the first consistent jointly-valid
-    group in conclusion sort order.
+    ``args`` are presumptively valid, with single-literal conclusions, in
+    sort order.  Members join in that order while the union stays jointly
+    presumptively valid: weight ties in the model can make two conclusions
+    individually valid but not jointly (or even conflicting, which no case
+    holds together), and the later one is then dropped.  Status and weight
+    come from the scan of the merged conclusion, so the result is
+    conclusive iff every kept member is, and its weight is the heaviest
+    case holding the premise and the whole union.  Exceptions of the kept
+    members are concatenated.
     """
     groups: dict[frozenset[Literal], list[Argument]] = {}
-    order: list[frozenset[Literal]] = []
     for a in args:
-        if a.premise not in groups:
-            order.append(a.premise)
         groups.setdefault(a.premise, []).append(a)
     merged = []
-    for premise in order:
-        members = sorted(groups[premise], key=Argument.sort_key)
+    for premise, members in groups.items():
+        pmask = index.mask_of(premise)
         kept: list[Argument] = []
-        acc: frozenset[Literal] = frozenset()
-        for m in members:
-            trial = acc | m.conclusion
-            if not is_consistent(trial):
-                continue
-            probe = Argument(premise=premise, conclusion=trial)
-            if not is_presumptively_valid(model, probe, universal_ties=universal):
-                continue
-            kept.append(m)
-            acc = trial
-        if not kept:
-            continue
-        for m in merge_same_premise(kept):
-            merged.append(
-                Argument(
-                    premise=m.premise,
-                    conclusion=m.conclusion,
-                    status=m.status,
-                    exceptions=m.exceptions,
-                    weight=argument_support(model, m),
-                )
+        cmask = 0
+        for m in members:  # the first member is valid alone, so it is kept
+            trial = cmask | index.bit[_single_conclusion(m)]
+            _, pv, conclusive, support = index.scan(pmask, trial)
+            if pv:
+                kept.append(m)
+                cmask = trial
+                joint = conclusive, support
+        conclusive, support = joint
+        merged.append(
+            Argument(
+                premise=premise,
+                conclusion=frozenset(_single_conclusion(m) for m in kept),
+                status=CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID,
+                exceptions=tuple(e for m in kept for e in m.exceptions),
+                weight=support,
             )
+        )
     return merged
 
 
@@ -542,11 +400,10 @@ def learn_pruned(model: CaseModel, config: SearchConfig | None = None) -> Theory
     # Top level = arguments with no less specific counterpart; arguments
     # relevant only as exceptions live inside their parents' trees.
     keyed = {(a.premise, _single_conclusion(a)) for a in pool}
-    top = [a for a in pool if not _shadowed(a, keyed)]
-    top = [_attach_exceptions(model, index, a, config) for a in top]
-    merged = _merge_groups(model, top, config.universal_ties)
+    top = [_attach_exceptions(model, index, a, config) for a in pool if not _shadowed(a, keyed)]
+    merged = _merge_same_premise(index, top)
     for arg in merged:
-        if not is_presumptively_valid(model, arg, universal_ties=config.universal_ties):
+        if not is_presumptively_valid(model, arg):
             raise InvariantError(f"merged argument lost validity: {arg!r}")
     merged.sort(key=Argument.sort_key)
     summary = {
@@ -554,14 +411,3 @@ def learn_pruned(model: CaseModel, config: SearchConfig | None = None) -> Theory
         "case_count": len(model.cases),
     }
     return Theory(arguments=tuple(merged), config=config, model_summary=summary)
-
-
-def _shadowed(arg: Argument, keyed: set) -> bool:
-    """True iff the pool holds the same conclusion under a smaller premise."""
-    c = _single_conclusion(arg)
-    lits = sorted(arg.premise, key=Literal.sort_key)
-    for size in range(len(lits)):
-        for sub in combinations(lits, size):
-            if (frozenset(sub), c) in keyed:
-                return True
-    return False

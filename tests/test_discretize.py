@@ -166,7 +166,7 @@ class TestKMeans:
             scheme = kmeans_1d(vals, k)
             got = scheme_wss(scheme, vals)
             best = brute_force_wss(vals, k)
-            assert got <= best * 1.05 + 1e-9, (vals, k, got, best)
+            assert got <= best * (1 + 1e-9) + 1e-12, (vals, k, got, best)
 
 
 class TestDBSCAN:

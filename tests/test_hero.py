@@ -11,6 +11,7 @@ from argmine.hero import (
     Rule,
     RuleList,
     _Trainer,
+    _accuracy,
     information_gain,
     learn_hero,
     learn_hero_multi,
@@ -161,7 +162,7 @@ class TestLearnHero:
             ]
             trainer = _Trainer(rows, "d")
             rules = []
-            accs = [trainer.accuracy(rules)]
+            accs = [_accuracy(rules, rows, "d")]
             while True:
                 step = trainer.best_insertion(rules)
                 if step is None:
@@ -169,7 +170,7 @@ class TestLearnHero:
                 gain, new_rule, pos = step
                 assert gain > 0
                 rules.insert(pos, new_rule)
-                accs.append(trainer.accuracy(rules))
+                accs.append(_accuracy(rules, rows, "d"))
             for before, after in zip(accs, accs[1:]):
                 assert after > before + TOL / 10
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -7,10 +8,14 @@ from argmine.case_model import (
     CONCLUSIVE,
     PRESUMPTIVELY_VALID,
     Argument,
+    Case,
+    CaseModel,
     Literal,
+    argument_support,
     is_coherent,
     is_conclusive,
     is_presumptively_valid,
+    literal_set_key,
     literals,
 )
 from argmine.datasets import presumption_of_innocence
@@ -18,11 +23,8 @@ from argmine.errors import InputError
 from argmine.pruned_search import (
     SearchConfig,
     Theory,
-    filter_relevant,
     find_exceptions,
-    join_premises,
     learn_pruned,
-    merge_same_premise,
     search_arguments,
 )
 
@@ -41,29 +43,6 @@ def oracle_presumptively_valid(model):
         for a in all_arguments(model)
         if is_presumptively_valid(model, a)
     }
-
-
-class TestJoinPremises:
-    def test_four_literal_overlap(self):
-        a = literals({"a": 1, "b": 1, "c": 1, "d": 1})
-        b = literals({"b": 1, "c": 1, "d": 1, "e": 1})
-        joined = join_premises([a, b])
-        assert joined == {literals({"a": 1, "b": 1, "c": 1, "d": 1, "e": 1})}
-
-    def test_two_literal_premises(self):
-        a = literals({"a": 1, "b": 1})
-        b = literals({"a": 1, "c": 1})
-        assert join_premises([a, b]) == {literals({"a": 1, "b": 1, "c": 1})}
-
-    def test_attribute_conflict_discarded(self):
-        a = literals({"x": 1, "y": 1})
-        b = literals({"x": 2, "y": 1})
-        assert join_premises([a, b]) == set()
-
-    def test_distant_premises_ignored(self):
-        a = literals({"a": 1, "b": 1})
-        b = literals({"c": 1, "d": 1})
-        assert join_premises([a, b]) == set()
 
 
 class TestSearchOnLegalModel:
@@ -156,52 +135,91 @@ class TestOracleEquivalence:
 
 
 class TestFilterRelevant:
-    def test_shadowed_specialization_dropped(self):
-        args = [
-            parg({"a": 1}, {"d": 1}),
-            parg({"a": 1, "b": 1, "c": 1}, {"d": 1}),
-        ]
-        kept = filter_relevant(args)
-        assert kept == [args[0]]
+    def test_shadowed_specialization_dropped(self, rng):
+        # no top-level conclusion holds presumptively under a smaller premise
+        for _ in range(30):
+            model = random_case_model(rng)
+            theory = learn_pruned(model, SearchConfig(max_premise_size=len(model.attributes)))
+            for arg in theory.arguments:
+                for lit in arg.conclusion:
+                    for size in range(len(arg.premise)):
+                        for sub in itertools.combinations(arg.premise, size):
+                            smaller = Argument(premise=frozenset(sub), conclusion=frozenset([lit]))
+                            assert not is_presumptively_valid(model, smaller), (arg, smaller)
 
     def test_exception_chain_retained(self):
-        args = [
-            parg({"a": 1}, {"d": 1}),
-            parg({"a": 1, "b": 1}, {"d": 0}),
-            parg({"a": 1, "b": 1, "c": 1}, {"d": 1}),
-        ]
-        kept = filter_relevant(args)
-        assert set(kept) == set(args)
+        model = CaseModel((
+            Case(literals({"a": 0, "b": 0, "c": 0, "d": 0}), weight=6),
+            Case(literals({"a": 1, "b": 0, "c": 0, "d": 1}), weight=5),
+            Case(literals({"a": 1, "b": 1, "c": 0, "d": 0}), weight=3),
+            Case(literals({"a": 1, "b": 1, "c": 1, "d": 1}), weight=2),
+        ))
+        theory = learn_pruned(model, SearchConfig(max_premise_size=3, target_attributes=("d",)))
+        node = {a.premise: a for a in theory.arguments}[literals({})]
+        chain = [({"a": 1}, {"d": 1}), ({"a": 1, "b": 1}, {"d": 0}), ({"a": 1, "b": 1, "c": 1}, {"d": 1})]
+        for premise, conclusion in chain:
+            by_premise = {e.premise: e for e in node.exceptions}
+            node = by_premise[literals(premise)]
+            assert node.conclusion == literals(conclusion)
+        assert node.status == CONCLUSIVE
 
     def test_single_argument_retained(self):
-        args = [parg({"a": 1}, {"d": 1})]
-        assert filter_relevant(args) == args
+        model = CaseModel((Case(literals({"a": 1, "d": 1})),))
+        theory = learn_pruned(model, SearchConfig(target_attributes=("d",)))
+        assert [(a.premise, a.conclusion) for a in theory.arguments] == [(literals({}), literals({"d": 1}))]
 
 
 class TestMergeSamePremise:
     def test_defaults_merge(self):
-        a = parg({}, {"innocent": True})
-        b = parg({}, {"guilty": False})
-        merged = merge_same_premise([a, b])
-        assert len(merged) == 1
-        assert merged[0].conclusion == literals({"innocent": True, "guilty": False})
+        theory = learn_pruned(presumption_of_innocence(), SearchConfig(max_premise_size=1))
+        default = {a.premise: a for a in theory.arguments}[literals({})]
+        assert default.conclusion == literals({"innocent": True, "guilty": False})
 
-    def test_distinct_premises_untouched(self):
-        a = parg({"x": 1}, {"d": 1})
-        b = parg({"y": 1}, {"d": 1})
-        assert len(merge_same_premise([a, b])) == 2
+    def test_distinct_premises_untouched(self, rng):
+        # every relevant premise keeps one argument, built only from its
+        # own relevant pool members
+        for _ in range(30):
+            model = random_case_model(rng)
+            config = SearchConfig(max_premise_size=len(model.attributes))
+            keyed = {(a.premise, a.conclusion) for a in search_arguments(model, config)}
+            relevant = {
+                (premise, conclusion)
+                for premise, conclusion in keyed
+                if not any(
+                    (frozenset(sub), conclusion) in keyed
+                    for size in range(len(premise))
+                    for sub in itertools.combinations(premise, size)
+                )
+            }
+            theory = learn_pruned(model, config)
+            assert [a.premise for a in theory.arguments] == sorted(
+                {p for p, _ in relevant}, key=lambda p: (len(p), literal_set_key(p))
+            )
+            for arg in theory.arguments:
+                assert all((arg.premise, frozenset([lit])) in relevant for lit in arg.conclusion)
 
     def test_three_way_merge(self):
-        args = [parg({}, {"a": 1}), parg({}, {"b": 2}), parg({}, {"c": 3})]
-        merged = merge_same_premise(args)
-        assert len(merged) == 1
-        assert merged[0].conclusion == literals({"a": 1, "b": 2, "c": 3})
+        model = CaseModel((Case(literals({"a": 1, "b": 2, "c": 3})),))
+        (default,) = learn_pruned(model).arguments
+        assert default.premise == literals({})
+        assert default.conclusion == literals({"a": 1, "b": 2, "c": 3})
 
-    def test_conflicting_merge_halts(self):
-        from argmine.errors import InvariantError
-
-        with pytest.raises(InvariantError):
-            merge_same_premise([parg({}, {"a": 1}), parg({}, {"a": 2})])
+    def test_jointly_invalid_conclusion_dropped(self):
+        # the two heaviest cases tie: a=0, a=1 and b=1 are each valid by
+        # default, but b=1 never holds together with the kept a=0
+        model = CaseModel((
+            Case(literals({"a": 0, "c": 0}), weight=2),
+            Case(literals({"a": 1, "b": 1}), weight=2),
+            Case(literals({"a": 1, "b": 0, "c": 0}), weight=1),
+        ))
+        pool = {(a.premise, a.conclusion) for a in search_arguments(model, SearchConfig())}
+        for value in ({"a": 0}, {"a": 1}, {"b": 1}, {"c": 0}):
+            assert (literals({}), literals(value)) in pool
+        theory = learn_pruned(model, SearchConfig(exception_depth=0))
+        default = {a.premise: a for a in theory.arguments}[literals({})]
+        assert default.conclusion == literals({"a": 0, "c": 0})
+        assert default.status == PRESUMPTIVELY_VALID
+        assert default.weight == 2
 
 
 class TestFindExceptions:
@@ -259,8 +277,8 @@ class TestTheory:
             theory = learn_pruned(model, SearchConfig(max_premise_size=len(model.attributes)))
             for arg in theory.arguments:
                 assert is_presumptively_valid(model, arg)
-                if arg.status == CONCLUSIVE:
-                    assert is_conclusive(model, arg)
+                assert (arg.status == CONCLUSIVE) == is_conclusive(model, arg)
+                assert arg.weight == argument_support(model, arg)
 
     def test_no_duplicate_premises(self, rng):
         for _ in range(40):
@@ -284,6 +302,9 @@ class TestTheory:
         restored = Theory.from_json(data)
         assert restored.arguments == theory.arguments
         assert restored.config == theory.config
+        # files written before the universal_ties option was removed
+        data["config"]["universal_ties"] = False
+        assert Theory.from_json(data) == restored
 
     def test_legal_theory_contents(self):
         model = presumption_of_innocence()
