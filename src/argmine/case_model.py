@@ -206,12 +206,11 @@ def is_coherent(model: CaseModel, arg: Argument) -> bool:
     return any(c.contains(both) for c in model.cases)
 
 
-def is_presumptively_valid(model: CaseModel, arg: Argument, universal_ties: bool = False) -> bool:
+def is_presumptively_valid(model: CaseModel, arg: Argument) -> bool:
     """True iff the conclusion holds in a maximally preferred premise case.
 
-    Weight ties make the "most preferred case" a set; by default the
-    reading is existential over that tier.  ``universal_ties=True`` selects
-    the stricter reading that demands the conclusion in every tied case.
+    Weight ties make the "most preferred case" a set; the reading is
+    existential over that tier: some tied case must hold the conclusion.
     """
     matching = _premise_cases(model, arg.premise)
     if not matching:
@@ -219,8 +218,6 @@ def is_presumptively_valid(model: CaseModel, arg: Argument, universal_ties: bool
     top = matching[0].weight  # cases are sorted by descending weight
     tier = [c for c in matching if c.weight == top]
     both = arg.premise | arg.conclusion
-    if universal_ties:
-        return all(c.contains(both) for c in tier)
     return any(c.contains(both) for c in tier)
 
 

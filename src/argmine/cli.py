@@ -31,6 +31,7 @@ from .pipeline import (
     load_csv,
     load_model,
     predict_rows,
+    read_json,
     run_experiment,
     run_grid,
 )
@@ -59,8 +60,7 @@ def _experiment_config(args: argparse.Namespace, **fixed: Any) -> ExperimentConf
     """Config from ``--config``, overridden by flags, then by ``fixed``."""
     data: dict[str, Any] = {}
     if getattr(args, "config", None):
-        with open(args.config) as f:
-            data.update(json.load(f))
+        data.update(read_json(args.config, dict))
     for f in fields(ExperimentConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -85,8 +85,9 @@ def cmd_discretize(args: argparse.Namespace) -> int:
         columns=[c for c in table.columns if columns is None or c in columns],
         rows=table.rows,
     )
-    # no target concept here: bin every numeric requested column
-    schemes = fit_schemes(work, args.method, args.bins, target="", only_target=False)
+    # no target concept here: every requested numeric column gets the
+    # per-column search, so the target-only bin count plays no part
+    schemes = fit_schemes(work, args.method, "opt", target="", only_target=False)
     _write_json({name: s.to_json() for name, s in sorted(schemes.items())}, args.output)
     if args.transformed:
         rows = apply_schemes(table, schemes)
@@ -99,8 +100,7 @@ def cmd_discretize(args: argparse.Namespace) -> int:
 
 
 def _learn_from_case_model(args: argparse.Namespace) -> int:
-    with open(args.input) as f:
-        model = case_model_from_json(json.load(f))
+    model = read_json(args.input, case_model_from_json)
     if args.learner == "pruned_search":
         theory = learn_pruned(
             model,
@@ -143,8 +143,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     table = load_csv(args.input)
     if args.schemes:
-        with open(args.schemes) as f:
-            schemes = {k: BinningScheme.from_json(v) for k, v in json.load(f).items()}
+        schemes = read_json(args.schemes, lambda data: {k: BinningScheme.from_json(v) for k, v in data.items()})
         rows = apply_schemes(table, schemes)
     else:
         rows = table.rows
@@ -189,12 +188,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
-    with open(args.configs) as f:
-        entries = json.load(f)
+def _configs_from_json(entries: Any) -> list[ExperimentConfig]:
     if not isinstance(entries, list):
-        raise InputError("--configs must hold a JSON list of experiment configs")
-    configs = [ExperimentConfig.from_json(e) for e in entries]
+        raise InputError("expected a JSON list of experiment configs")
+    return [ExperimentConfig.from_json(e) for e in entries]
+
+
+def cmd_grid(args: argparse.Namespace) -> int:
+    configs = read_json(args.configs, _configs_from_json)
     results = run_grid(configs, workers=args.workers)
     rows = [row for r in results for row in r.table_rows()]
     print(format_table(rows))
@@ -208,10 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("discretize", help="fit binning schemes for CSV columns")
+    p = sub.add_parser("discretize", help="fit binning schemes for CSV columns (k chosen per column by silhouette)")
     p.add_argument("--input", required=True)
     p.add_argument("--method", required=True, choices=BINNINGS)
-    p.add_argument("--bins", type=_bins_value, default=2)
     p.add_argument("--columns", help="comma-separated column subset")
     p.add_argument("--output", help="scheme JSON path (default stdout)")
     p.add_argument("--transformed", help="optional path for the binned CSV")

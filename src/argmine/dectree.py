@@ -31,8 +31,6 @@ class TreeParams:
     max_depth: int = MAX_DEPTH_CAP
     min_samples_leaf: int = 1
     min_samples_split: int = 2
-    max_features: int | None = None  # None = all features
-    seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.max_depth <= MAX_DEPTH_CAP:
@@ -41,16 +39,12 @@ class TreeParams:
             raise InputError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
         if self.min_samples_split < 2:
             raise InputError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
-        if self.max_features is not None and self.max_features < 1:
-            raise InputError(f"max_features must be >= 1, got {self.max_features}")
 
     def to_json(self) -> dict:
         return {
             "max_depth": self.max_depth,
             "min_samples_leaf": self.min_samples_leaf,
             "min_samples_split": self.min_samples_split,
-            "max_features": self.max_features,
-            "seed": self.seed,
         }
 
 
@@ -90,11 +84,6 @@ class TreeNode:
         if self.is_leaf:
             return 0
         return 1 + max(self.left.depth(), self.right.depth())
-
-    def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.n_leaves() + self.right.n_leaves()
 
     def to_json(self) -> dict:
         if self.is_leaf:
@@ -206,7 +195,6 @@ def learn_tree(
         params = TreeParams()
     if feature_order is None:
         feature_order = sorted(a for a in rows[0].keys() if a != target)
-    rng = random.Random(params.seed)
 
     def grow(subset: list[Mapping[str, Any]], depth: int) -> TreeNode:
         hist = _histogram([row[target] for row in subset])
@@ -216,12 +204,7 @@ def learn_tree(
             or len(hist) == 1
         ):
             return TreeNode(class_counts=hist)
-        if params.max_features is not None and params.max_features < len(feature_order):
-            chosen = rng.sample(range(len(feature_order)), params.max_features)
-            feats = [feature_order[i] for i in sorted(chosen)]
-        else:
-            feats = list(feature_order)
-        split = best_split(subset, feats, target, params.min_samples_leaf)
+        split = best_split(subset, feature_order, target, params.min_samples_leaf)
         if split is None:
             return TreeNode(class_counts=hist)
         feature, threshold = split
@@ -333,7 +316,7 @@ def tune_tree(
     return grid[best[1]]
 
 
-def default_grid(n_features: int, seed: int = 0) -> list[TreeParams]:
+def default_grid() -> list[TreeParams]:
     """Deterministic hyperparameter grid used by the experiment pipeline."""
     grid = []
     for max_depth in (2, 5, 10, 50):
@@ -344,8 +327,6 @@ def default_grid(n_features: int, seed: int = 0) -> list[TreeParams]:
                         max_depth=max_depth,
                         min_samples_leaf=min_samples_leaf,
                         min_samples_split=min_samples_split,
-                        max_features=None,
-                        seed=seed,
                     )
                 )
     return grid

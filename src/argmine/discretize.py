@@ -1,8 +1,9 @@
 """Discretization of continuous columns into ordered, non-overlapping bins.
 
 Four methods are provided: equal-width, equal-depth, exact 1-D k-means
-(dynamic programming over the sorted values) and 1-D DBSCAN.  A silhouette
-score drives exhaustive parameter search over a caller-supplied grid.
+(dynamic programming over the sorted values) and 1-D DBSCAN.
+`optimize_scheme` is the one search over them: it scores every
+caller-supplied (method, parameters) candidate by its silhouette.
 
 Every scheme is a sorted list of interior cut points; bin ``i`` is the
 half-open interval between cut ``i-1`` and cut ``i``, with the outer bins
@@ -33,14 +34,12 @@ class DiscretizationParams:
     """Parameters for one discretization run.
 
     ``k`` applies to equal-width, equal-depth and k-means; ``epsilon`` and
-    ``min_pts`` to DBSCAN; ``seed`` to any randomized step (the bundled
-    algorithms are all deterministic, but the seed is recorded anyway).
+    ``min_pts`` to DBSCAN.
     """
 
     k: int | None = None
     epsilon: float | None = None
     min_pts: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
@@ -51,7 +50,7 @@ class DiscretizationParams:
             raise InputError(f"min_pts must be >= 1, got {self.min_pts}")
 
     def to_json(self) -> dict:
-        out: dict[str, Any] = {"seed": self.seed}
+        out: dict[str, Any] = {}
         if self.k is not None:
             out["k"] = self.k
         if self.epsilon is not None:
@@ -78,13 +77,6 @@ class BinningScheme:
     def n_bins(self) -> int:
         return len(self.boundaries) + 1
 
-    @property
-    def bin_labels(self) -> range:
-        return range(self.n_bins)
-
-    def assign(self, value: float) -> int:
-        return apply_scheme(value, self)
-
     def to_json(self) -> dict:
         return {
             "attribute": self.attribute,
@@ -95,20 +87,17 @@ class BinningScheme:
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "BinningScheme":
-        return BinningScheme(
-            attribute=data["attribute"],
-            method=data["method"],
-            boundaries=tuple(data["boundaries"]),
-            params=DiscretizationParams(**data.get("params", {})),
-        )
-
-
-@dataclass(frozen=True)
-class SilhouetteReport:
-    """Per-sample silhouette coefficients and their mean."""
-
-    score: float
-    per_sample: tuple[tuple[float, float, float], ...]  # (a, b, coefficient)
+        # older scheme files carry a "seed" parameter that no algorithm read
+        params = {k: v for k, v in data.get("params", {}).items() if k != "seed"}
+        try:
+            return BinningScheme(
+                attribute=data["attribute"],
+                method=data["method"],
+                boundaries=tuple(data["boundaries"]),
+                params=DiscretizationParams(**params),
+            )
+        except InvariantError as exc:  # a scheme read from a file is input
+            raise InputError(f"scheme for {data['attribute']!r}: {exc}") from None
 
 
 def apply_scheme(value: float, scheme: BinningScheme) -> int:
@@ -240,12 +229,7 @@ def _optimal_boundaries(vals: np.ndarray, k: int) -> tuple[float, ...]:
     return tuple((distinct[i - 1] + distinct[i]) / 2.0 for i in edges)
 
 
-def kmeans_1d(
-    values: Sequence[float],
-    k: int,
-    params: DiscretizationParams | None = None,
-    attribute: str = "value",
-) -> BinningScheme:
+def kmeans_1d(values: Sequence[float], k: int, attribute: str = "value") -> BinningScheme:
     """One-dimensional k-means emitted as non-overlapping ranges.
 
     An exact dynamic program over the sorted distinct values finds the
@@ -257,10 +241,7 @@ def kmeans_1d(
     distinct = np.unique(vals)
     if k > distinct.size:
         raise InputError(f"k={k} exceeds the {distinct.size} distinct values")
-    if params is None:
-        params = DiscretizationParams(k=k)
-    else:
-        params = DiscretizationParams(k=k, epsilon=params.epsilon, min_pts=params.min_pts, seed=params.seed)
+    params = DiscretizationParams(k=k)
     if k == 1:
         return BinningScheme(attribute, "kmeans", (), params)
 
@@ -323,7 +304,7 @@ def dbscan_1d(
     return BinningScheme(attribute, "dbscan", boundaries, params)
 
 
-def silhouette(values: Sequence[float], labels: Sequence[Any]) -> SilhouetteReport:
+def silhouette(values: Sequence[float], labels: Sequence[Any]) -> float:
     """Mean silhouette coefficient of a 1-D clustering.
 
     For each sample, ``a`` is its mean distance to the rest of its own
@@ -340,7 +321,7 @@ def silhouette(values: Sequence[float], labels: Sequence[Any]) -> SilhouetteRepo
     if len(groups) < 2:
         raise UndefinedScoreError(f"silhouette undefined for {len(groups)} cluster(s)")
 
-    per_sample = []
+    total = 0.0
     for i, v in enumerate(vals):
         own = groups[labels[i]]
         if len(own) == 1:
@@ -356,9 +337,8 @@ def silhouette(values: Sequence[float], labels: Sequence[Any]) -> SilhouetteRepo
             coeff = (b - a) / max(a, b)
         else:
             coeff = 0.0
-        per_sample.append((a, b, coeff))
-    score = sum(c for _, _, c in per_sample) / len(per_sample)
-    return SilhouetteReport(score=score, per_sample=tuple(per_sample))
+        total += coeff
+    return total / len(vals)
 
 
 def _build(method: str, values: Sequence[float], params: DiscretizationParams, attribute: str) -> BinningScheme:
@@ -369,7 +349,7 @@ def _build(method: str, values: Sequence[float], params: DiscretizationParams, a
             return equal_width_bins(values, params.k, attribute)
         if method == "equal-depth":
             return equal_depth_bins(values, params.k, attribute)
-        return kmeans_1d(values, params.k, params, attribute)
+        return kmeans_1d(values, params.k, attribute)
     if method == "dbscan":
         if params.epsilon is None or params.min_pts is None:
             raise InputError("method 'dbscan' requires epsilon and min_pts")
@@ -379,34 +359,42 @@ def _build(method: str, values: Sequence[float], params: DiscretizationParams, a
 
 def optimize_scheme(
     values: Sequence[float],
-    method: str,
-    search_space: Sequence[DiscretizationParams],
+    candidates: Sequence[tuple[str, DiscretizationParams]],
     attribute: str = "value",
 ) -> BinningScheme:
-    """Exhaustive parameter search maximizing the silhouette score.
+    """The candidate scheme with the highest silhouette score.
 
-    Every combination in ``search_space`` is fitted and scored on the
-    labeling it induces over the training values; ties prefer fewer bins,
-    then the earlier grid position.  Combinations that fail (degenerate
-    schemes, all-noise DBSCAN, undefined silhouette) are skipped; if all
-    fail, the optimization fails.
+    Each ``(method, params)`` candidate, from any number of methods, is
+    built once and scored once on the labeling it induces over ``values``.
+    Ties go to the method listed first, then to fewer bins, then to the
+    earlier candidate.  Candidates that do not build (too few distinct
+    values, all-noise DBSCAN) are skipped.  When no built scheme has a
+    defined silhouette (every one has a single bin), the first scheme that
+    built is returned: one bin is a legitimate, if uninformative, outcome.
+    Only when nothing builds (or there are no candidates) does the
+    optimization fail.
     """
-    if not search_space:
-        raise InputError("empty search space")
     vals = _check_values(values)
-    best: tuple[float, int, int, BinningScheme] | None = None
-    for pos, params in enumerate(search_space):
+    method_rank: dict[str, int] = {}
+    first: BinningScheme | None = None
+    best: tuple[tuple[float, int, int, int], BinningScheme] | None = None
+    for pos, (method, params) in enumerate(candidates):
+        rank = method_rank.setdefault(method, len(method_rank))
         try:
             scheme = _build(method, vals, params, attribute)
-            labels = [apply_scheme(v, scheme) for v in vals]
-            score = silhouette(vals, labels).score
         except InputError:
             continue
-        key = (-score, scheme.n_bins, pos)
-        if best is None or key < (-best[0], best[1], best[2]):
-            best = (score, scheme.n_bins, pos, scheme)
-    if best is None:
-        raise OptimizationFailedError(
-            f"every parameter combination failed for method {method!r}"
-        )
-    return best[3]
+        if first is None:
+            first = scheme
+        try:
+            score = silhouette(vals, [apply_scheme(v, scheme) for v in vals])
+        except InputError:
+            continue
+        key = (-score, rank, scheme.n_bins, pos)
+        if best is None or key < best[0]:
+            best = (key, scheme)
+    if best is not None:
+        return best[1]
+    if first is not None:
+        return first
+    raise OptimizationFailedError(f"no candidate scheme builds for {attribute!r}")

@@ -143,21 +143,17 @@ class EvalReport:
     weighted_f1: float
     per_class: dict[Any, dict[str, float]]
     abstention_rate: float = 0.0
-    runtime_ms: float | None = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "accuracy": self.accuracy,
             "weighted_f1": self.weighted_f1,
             "per_class": {str(k): v for k, v in sorted(self.per_class.items(), key=lambda kv: value_key(kv[0]))},
             "abstention_rate": self.abstention_rate,
         }
-        if self.runtime_ms is not None:
-            out["runtime_ms"] = self.runtime_ms
-        return out
 
 
-def evaluate(predictions: Sequence[tuple[Any, Any]], runtime_ms: float | None = None) -> EvalReport:
+def evaluate(predictions: Sequence[tuple[Any, Any]]) -> EvalReport:
     """Score (predicted, actual) pairs; abstentions (None) count as wrong."""
     if not predictions:
         raise InputError("cannot evaluate zero predictions")
@@ -190,7 +186,6 @@ def evaluate(predictions: Sequence[tuple[Any, Any]], runtime_ms: float | None = 
         weighted_f1=weighted_f1,
         per_class=per_class,
         abstention_rate=abstained / n,
-        runtime_ms=runtime_ms,
     )
 
 

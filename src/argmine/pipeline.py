@@ -16,19 +16,20 @@ import random
 import time
 from dataclasses import dataclass, fields
 from statistics import pstdev
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import datasets
 from .case_model import build_case_model
 from .dectree import TreeNode, default_grid, learn_tree, tree_to_rules, tune_tree
 from .discretize import (
+    METHODS,
     BinningScheme,
     DiscretizationParams,
     apply_scheme,
     optimize_scheme,
     _build,
 )
-from .errors import InputError, OptimizationFailedError
+from .errors import InputError
 from .hero import RuleList, learn_hero
 from .inference import EvalReport, evaluate, predict_rule_list, predict_theory
 from .pruned_search import SearchConfig, Theory, learn_pruned
@@ -140,68 +141,22 @@ def is_already_discrete(values: Sequence[Any]) -> bool:
     return len(distinct) <= 2 and all(float(v).is_integer() for v in distinct)
 
 
-def _dbscan_space(values: Sequence[float]) -> list[DiscretizationParams]:
-    q = pstdev(values)
-    if q == 0:
-        raise OptimizationFailedError("column is constant")
-    return [
-        DiscretizationParams(epsilon=q * f, min_pts=m)
-        for f in DBSCAN_EPS_FACTORS
-        for m in DBSCAN_MIN_PTS
-    ]
-
-
-def _optimized_scheme(method: str, values: Sequence[float], attribute: str) -> BinningScheme:
-    """Silhouette-best scheme for one method, per-column parameter grid.
-
-    Columns where no parameter combination produces two scorable clusters
-    fall back to the first combination that builds at all (a single dense
-    region is a legitimate, if uninformative, one-bin outcome for DBSCAN);
-    only a column where everything errors fails the optimization.
-    """
+def _candidates(method: str, values: Sequence[float]) -> list[tuple[str, DiscretizationParams]]:
+    """The per-column parameter grid of one method: every grid k the distinct
+    values allow (else k=1), or DBSCAN epsilons scaled by the column's spread.
+    A constant column has no spread, and any epsilon finds its one dense
+    region, so unit spread stands in."""
     if method == "dbscan":
-        space = _dbscan_space(values)
-    else:
-        k_cap = len(set(values))
-        space = [DiscretizationParams(k=k) for k in OPT_K_GRID if k <= k_cap] or [
-            DiscretizationParams(k=1)
+        spread = pstdev(values) or 1.0
+        return [
+            (method, DiscretizationParams(epsilon=spread * f, min_pts=m))
+            for f in DBSCAN_EPS_FACTORS
+            for m in DBSCAN_MIN_PTS
         ]
-    try:
-        return optimize_scheme(values, method, space, attribute)
-    except OptimizationFailedError:
-        for params in space:
-            try:
-                return _build(method, values, params, attribute)
-            except InputError:
-                continue
-        raise
-
-
-def _any_method_scheme(values: Sequence[float], attribute: str) -> BinningScheme:
-    """Best scheme across all four methods by silhouette score."""
-    from .discretize import silhouette
-
-    best = None
-    fallback = None
-    for method in ("equal-width", "equal-depth", "kmeans", "dbscan"):
-        try:
-            scheme = _optimized_scheme(method, values, attribute)
-        except InputError:
-            continue
-        if fallback is None:
-            fallback = scheme
-        labels = [apply_scheme(v, scheme) for v in values]
-        try:
-            score = silhouette(values, labels).score
-        except InputError:
-            continue
-        if best is None or score > best[0]:
-            best = (score, scheme)
-    if best is not None:
-        return best[1]
-    if fallback is not None:
-        return fallback
-    raise OptimizationFailedError(f"no method produced a scheme for {attribute!r}")
+    k_cap = len(set(values))
+    return [(method, DiscretizationParams(k=k)) for k in OPT_K_GRID if k <= k_cap] or [
+        (method, DiscretizationParams(k=1))
+    ]
 
 
 def fit_schemes(
@@ -214,14 +169,15 @@ def fit_schemes(
     """Fit one scheme per binnable column on the training partition.
 
     The ``bins`` setting controls the target column only (it fixes the
-    granularity of the classification task); feature columns always get
-    the per-column parameter search for the configured method, mirroring
-    the cluster-optimization step that is run for each column.  DBSCAN
-    has no bin-count parameter at all, so the target also goes through
-    the epsilon/min_pts grid there.
+    granularity of the classification task): there the configured method
+    is built directly with k=bins.  Every other column, and the target
+    under DBSCAN (which has no bin count) or bins='opt', gets one
+    `optimize_scheme` search per column over the `_candidates` grid of the
+    configured method, or of all four methods for binning='opt'.
     """
     if binning not in BINNINGS:
         raise InputError(f"binning must be one of {BINNINGS}, got {binning!r}")
+    methods = METHODS if binning == "opt" else (binning,)
     schemes: dict[str, BinningScheme] = {}
     for name in train.columns:
         values = train.column(name)
@@ -235,10 +191,9 @@ def fit_schemes(
             if not isinstance(bins, int):
                 raise InputError(f"bins must be an integer or 'opt', got {bins!r}")
             schemes[name] = _build(binning, values, DiscretizationParams(k=bins), name)
-        elif binning == "opt":
-            schemes[name] = _any_method_scheme(values, name)
         else:
-            schemes[name] = _optimized_scheme(binning, values, name)
+            candidates = [c for method in methods for c in _candidates(method, values)]
+            schemes[name] = optimize_scheme(values, candidates, name)
     return schemes
 
 
@@ -284,7 +239,25 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "ExperimentConfig":
-        return ExperimentConfig(**{f.name: data[f.name] for f in fields(ExperimentConfig) if f.name in data})
+        known = {f.name for f in fields(ExperimentConfig)}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise InputError(f"unknown config keys {unknown}; known keys are {sorted(known)}")
+        return ExperimentConfig(**data)
+
+
+def read_json(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the JSON in the input file ``path``; a missing file, bad
+    JSON, or content ``parse`` cannot read raise InputError naming the file."""
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:  # InputError is a ValueError
+        raise InputError(f"{path}: {exc}") from None
 
 
 def resolve_dataset(path: str) -> str:
@@ -370,14 +343,12 @@ def learn_model(
         model = learn_hero(rows, target)
         return model, model.to_json()
     feature_order = [c for c in columns if c != target]
-    params = tune_tree(
-        rows, target, default_grid(len(feature_order), config.seed),
-        folds=3, feature_order=feature_order, seed=config.seed,
-    )
+    params = tune_tree(rows, target, default_grid(), folds=3, feature_order=feature_order, seed=config.seed)
     tree = learn_tree(rows, target, params, feature_order)
     rules = [
         {
-            "premise": {c.attribute: [c.lo, c.hi] for c in r.premise},
+            # an open bound is null: JSON has no infinities
+            "premise": {c.attribute: [None if math.isinf(b) else b for b in (c.lo, c.hi)] for c in r.premise},
             "conclusion": {c.attribute: c.value for c in r.conclusion},
         }
         for r in tree_to_rules(tree, target)
@@ -385,17 +356,19 @@ def learn_model(
     return tree, {"tree": tree.to_json(), "params": params.to_json(), "rules": rules}
 
 
-def load_model(path: str) -> Theory | RuleList | TreeNode:
-    """Read a model JSON written from `learn_model`'s output."""
-    with open(path) as f:
-        data = json.load(f)
+def _model_from_json(data: Any) -> Theory | RuleList | TreeNode:
     if "arguments" in data:
         return Theory.from_json(data)
     if "tree" in data:
         return TreeNode.from_json(data["tree"])
     if "rules" in data:
         return RuleList.from_json(data)
-    raise InputError(f"{path} is not a recognized model JSON")
+    raise InputError("not a recognized model JSON")
+
+
+def load_model(path: str) -> Theory | RuleList | TreeNode:
+    """Read a model JSON written from `learn_model`'s output."""
+    return read_json(path, _model_from_json)
 
 
 def predict_rows(
@@ -447,7 +420,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     def scored(rows):
         return list(zip(predict_rows(model, rows, target), (row[target] for row in rows)))
 
-    train_report = evaluate(scored(train_rows), runtime_ms=runtime_ms)
+    train_report = evaluate(scored(train_rows))
     test_report = evaluate(scored(test_rows))
 
     result = ExperimentResult(

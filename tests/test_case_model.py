@@ -198,9 +198,11 @@ class TestTieHandling:
         )
         a = arg({}, {"x": 1})
         assert is_presumptively_valid(model, a)  # holds in one tied maximum
-        assert not is_presumptively_valid(model, a, universal_ties=True)
+        tier = [c for c in model.cases if c.weight == 2]
+        assert not all(c.contains(a.conclusion) for c in tier)  # not in every one
         b = arg({}, {"y": 1})
-        assert is_presumptively_valid(model, b, universal_ties=True)
+        assert is_presumptively_valid(model, b)  # holds in every tied maximum
+        assert not is_presumptively_valid(model, arg({}, {"y": 2}))  # only in a lighter case
 
 
 class TestTypesAndJson:

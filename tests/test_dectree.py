@@ -118,7 +118,7 @@ class TestLearnTree:
             {"x": rng.uniform(0, 1), "z": rng.uniform(0, 1), "y": rng.randint(0, 2)}
             for _ in range(40)
         ]
-        params = TreeParams(max_depth=6, max_features=1, seed=9)
+        params = TreeParams(max_depth=6, min_samples_leaf=2)
         t1 = learn_tree(rows, "y", params)
         t2 = learn_tree(rows, "y", params)
         assert t1.to_json() == t2.to_json()
@@ -209,7 +209,7 @@ class TestTuneTree:
 
 
 def test_default_grid_shape():
-    grid = default_grid(13)
+    grid = default_grid()
     assert len(grid) == 24
     assert all(p.max_depth <= 50 for p in grid)
 

@@ -196,22 +196,17 @@ class TestDBSCAN:
 
 class TestSilhouette:
     def test_perfectly_separated_duplicates(self):
-        report = silhouette([0, 0, 10, 10], ["A", "A", "B", "B"])
-        assert abs(report.score - 1.0) < TOL
-        for a, b, coeff in report.per_sample:
-            assert a == 0 and b == 10 and coeff == 1.0
+        # every sample has a = 0 and b = 10, so every coefficient is 1
+        assert abs(silhouette([0, 0, 10, 10], ["A", "A", "B", "B"]) - 1.0) < TOL
 
     def test_misassigned_clusters_score_negative(self):
         # hand-computed: every sample has a = 10 (own-cluster mate is the
         # far value) and b = 0 (an identical value sits in the other
         # cluster), so every coefficient is -1
-        report = silhouette([0, 10, 0, 10], ["A", "A", "B", "B"])
-        assert report.score < 0
-        assert abs(report.score - (-1.0)) < TOL
+        assert abs(silhouette([0, 10, 0, 10], ["A", "A", "B", "B"]) - (-1.0)) < TOL
 
     def test_singletons_get_zero(self):
-        report = silhouette([0, 1], ["A", "B"])
-        assert abs(report.score) < TOL
+        assert abs(silhouette([0, 1], ["A", "B"])) < TOL
 
     def test_fewer_than_two_clusters_undefined(self):
         with pytest.raises(UndefinedScoreError):
@@ -226,31 +221,48 @@ class TestSilhouette:
             if len(set(labels)) < 2:
                 labels[0] = "A"
                 labels[1] = "B"
-            r1 = silhouette(vals, labels)
-            assert -1 - TOL <= r1.score <= 1 + TOL
+            s1 = silhouette(vals, labels)
+            assert -1 - TOL <= s1 <= 1 + TOL
             swapped = ["B" if l == "A" else "A" for l in labels]
-            r2 = silhouette(vals, swapped)
-            assert abs(r1.score - r2.score) < TOL
+            assert abs(s1 - silhouette(vals, swapped)) < TOL
 
 
 class TestOptimize:
     def test_k_two_beats_k_three(self):
-        space = [DiscretizationParams(k=2), DiscretizationParams(k=3)]
-        scheme = optimize_scheme([0, 0, 10, 10], "kmeans", space)
+        space = [("kmeans", DiscretizationParams(k=2)), ("kmeans", DiscretizationParams(k=3))]
+        scheme = optimize_scheme([0, 0, 10, 10], space)
         assert scheme.params.k == 2
 
     def test_singleton_search_space(self):
-        scheme = optimize_scheme([0, 1, 2, 9, 10, 11], "equal-width", [DiscretizationParams(k=2)])
+        scheme = optimize_scheme([0, 1, 2, 9, 10, 11], [("equal-width", DiscretizationParams(k=2))])
         assert scheme.params.k == 2
 
     def test_all_combinations_failing(self):
-        space = [DiscretizationParams(epsilon=0.001, min_pts=2)]
+        space = [("dbscan", DiscretizationParams(epsilon=0.001, min_pts=2))]
         with pytest.raises(OptimizationFailedError):
-            optimize_scheme([0, 100], "dbscan", space)
+            optimize_scheme([0, 100], space)
 
     def test_empty_search_space(self):
         with pytest.raises(InputError):
-            optimize_scheme([0, 1], "kmeans", [])
+            optimize_scheme([0, 1], [])
+
+    def test_first_built_scheme_when_nothing_scores(self):
+        # the DBSCAN candidate finds no dense region; both others build a
+        # single bin, whose silhouette is undefined
+        space = [
+            ("dbscan", DiscretizationParams(epsilon=0.001, min_pts=2)),
+            ("equal-depth", DiscretizationParams(k=1)),
+            ("equal-width", DiscretizationParams(k=1)),
+        ]
+        scheme = optimize_scheme([0, 100], space)
+        assert (scheme.method, scheme.n_bins) == ("equal-depth", 1)
+
+    def test_ties_go_to_the_method_listed_first(self):
+        # both methods cut between the two value groups: same labels, same score
+        values = [0, 0, 10, 10]
+        space = [("kmeans", DiscretizationParams(k=2)), ("equal-width", DiscretizationParams(k=2))]
+        assert optimize_scheme(values, space).method == "kmeans"
+        assert optimize_scheme(values, space[::-1]).method == "equal-width"
 
 
 class TestApplyScheme:
@@ -293,3 +305,9 @@ def test_scheme_json_roundtrip():
     assert data["method"] == "equal-width"
     restored = BinningScheme.from_json(data)
     assert restored == scheme
+
+
+def test_scheme_json_with_a_seed_loads():
+    # scheme files written by earlier versions record an unused "seed"
+    data = {"attribute": "x", "method": "kmeans", "boundaries": [1.5], "params": {"k": 2, "seed": 0}}
+    assert BinningScheme.from_json(data) == kmeans_1d([1, 2], 2, attribute="x")

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from argmine import cli, pipeline
+from argmine import cli, discretize, pipeline
 from argmine.errors import InputError, InvariantError
-from argmine.pipeline import ExperimentConfig, load_csv, run_experiment
+from argmine.pipeline import ExperimentConfig, Table, fit_schemes, load_csv, run_experiment
 
 COLUMNS = ["x1", "x2", "flag", "t"]
 
@@ -94,7 +94,7 @@ def test_repeated_seed_gives_identical_reports(tmp_path, data_csv):
         (report_file,) = out_dir.glob("*.report.json")
         (model_file,) = out_dir.glob("*.theory.json")
         report = json.loads(report_file.read_text())
-        del report["runtime_ms"], report["train"]["runtime_ms"], report["config"]["output_dir"]
+        del report["runtime_ms"], report["config"]["output_dir"]
         return json.dumps(report, sort_keys=True), model_file.read_bytes()
 
     assert report_bytes(tmp_path / "a") == report_bytes(tmp_path / "b")
@@ -150,3 +150,112 @@ def test_non_finite_cells_exit_one(tmp_path, capsys):
     inf_csv = write_csv(tmp_path / "inf.csv", rows)
     assert cli.main(["discretize", "--input", inf_csv, "--method", "equal-width"]) == 1
     assert "'x1'" in capsys.readouterr().err
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+BAD_INPUTS = [
+    "missing model", "missing schemes", "missing config", "missing configs", "descending boundaries",
+    "scheme without method", "argument without conclusion", "unknown config key",
+]
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_files_exit_one(tmp_path, data_csv, capsys, case):
+    result = run_experiment(config_for(data_csv, "pruned_search"))
+    model = result.model_json
+    schemes = {k: v.to_json() for k, v in result.schemes.items()}
+    missing = str(tmp_path / "missing.json")
+
+    def predict(model_path=None, schemes_path=None):
+        return ["predict", "--input", data_csv, "--target", "t",
+                "--model", model_path or write_json(tmp_path / "model.json", model),
+                "--schemes", schemes_path or write_json(tmp_path / "schemes.json", schemes)]
+
+    if case == "missing model":
+        argv, named = predict(model_path=missing), missing
+    elif case == "missing schemes":
+        argv, named = predict(schemes_path=missing), missing
+    elif case == "missing config":
+        argv, named = ["experiment", "--config", missing, "--quiet"], missing
+    elif case == "missing configs":
+        argv, named = ["grid", "--configs", missing], missing
+    elif case == "descending boundaries":
+        named = write_json(tmp_path / "bad.json", {**schemes, "x1": {**schemes["x1"], "boundaries": [5.0, 1.0]}})
+        argv = predict(schemes_path=named)
+    elif case == "scheme without method":
+        del schemes["x1"]["method"]
+        argv, named = predict(), "'method'"
+    elif case == "argument without conclusion":
+        del model["arguments"][0]["conclusion"]
+        argv, named = predict(), "'conclusion'"
+    else:
+        config = {"dataset_path": data_csv, "target": "t", "max_premise": 9}
+        argv, named = ["experiment", "--config", write_json(tmp_path / "c.json", config), "--quiet"], "'max_premise'"
+    assert cli.main(argv) == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("binning", pipeline.BINNINGS)
+def test_constant_column_gets_one_bin(tmp_path, binning):
+    rows = synthetic_rows(30)
+    for row in rows:
+        row["x2"] = 0.5
+    result = run_experiment(config_for(write_csv(tmp_path / "const.csv", rows), "pruned_search", binning=binning))
+    assert result.schemes["x2"].n_bins == 1
+
+
+@pytest.mark.parametrize("learner", pipeline.LEARNERS)
+def test_model_json_is_standard_json(data_csv, learner):
+    # RFC 8259 has no NaN or Infinity; open tree bounds must be written as null
+    json.dumps(run_experiment(config_for(data_csv, learner)).model_json, allow_nan=False)
+
+
+def two_level_opt(values):
+    """The search `opt` ran before `optimize_scheme` took every method at once.
+
+    Per method the best scheme by (-score, bins, grid position); then the
+    earliest method with the top score; the first scheme that builds when
+    nothing scores.
+    """
+    first = best = None
+    for method in discretize.METHODS:
+        method_best = None
+        for pos, (_, params) in enumerate(pipeline._candidates(method, values)):
+            try:
+                scheme = discretize._build(method, values, params, "x")
+            except InputError:
+                continue
+            if first is None:
+                first = scheme
+            try:
+                score = discretize.silhouette(values, [discretize.apply_scheme(v, scheme) for v in values])
+            except InputError:
+                continue
+            if method_best is None or (-score, scheme.n_bins, pos) < method_best[0]:
+                method_best = ((-score, scheme.n_bins, pos), scheme)
+        if method_best is not None and (best is None or method_best[0][0] < best[0][0]):
+            best = method_best
+    return best[1] if best else first
+
+
+def test_opt_scheme_matches_the_two_level_search():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(1, 25)
+        kind = rng.choice(["spread", "ties", "constant", "binary"])
+        if kind == "spread":
+            values = [round(rng.uniform(-5, 5), 2) for _ in range(n)]
+        elif kind == "ties":
+            pool = [rng.randint(0, 9) / 2 for _ in range(rng.randint(2, 4))]
+            values = [rng.choice(pool) for _ in range(n)]
+        elif kind == "constant":
+            values = [0.5] * n
+        else:
+            values = [float(rng.randint(0, 1)) for _ in range(n)]
+        # as the target, even a binary column goes through the search
+        got = fit_schemes(Table(["x"], [{"x": v} for v in values]), "opt", "opt", "x")["x"]
+        assert got == two_level_opt(values), values
