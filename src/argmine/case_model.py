@@ -63,9 +63,6 @@ class Literal:
         return f"{self.attribute}={self.value}"
 
 
-LiteralSet = frozenset
-
-
 def literals(mapping: Mapping[str, Any]) -> frozenset[Literal]:
     """Build a literal set from an ``{attribute: value}`` mapping."""
     return frozenset(Literal(a, v) for a, v in mapping.items())
@@ -83,6 +80,19 @@ def is_consistent(lits: Iterable[Literal]) -> bool:
             return False
         seen[lit.attribute] = lit.value
     return True
+
+
+def holds(premise: Iterable, instance: Mapping[str, Any]) -> bool:
+    """True iff every condition of the premise matches the instance."""
+    return all(cond.matches(instance) for cond in premise)
+
+
+def claim(conclusion: Iterable, attribute: str) -> Literal | None:
+    """The literal a conclusion asserts about one attribute, or None."""
+    for lit in conclusion:
+        if isinstance(lit, Literal) and lit.attribute == attribute:
+            return lit
+    return None
 
 
 def literals_to_mapping(lits: Iterable[Literal]) -> dict[str, Any]:
@@ -129,6 +139,9 @@ class Argument:
             raise InputError("argument conclusion is inconsistent")
         if self.premise & self.conclusion:
             raise InputError("premise and conclusion must be disjoint")
+        for exc in self.exceptions:
+            if not exc.premise > self.premise:
+                raise InputError(f"exception {exc!r} does not properly extend the premise of {self!r}")
 
     def sort_key(self) -> tuple:
         return (len(self.premise), literal_set_key(self.premise), literal_set_key(self.conclusion))

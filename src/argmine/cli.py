@@ -31,6 +31,7 @@ from .pipeline import (
     load_csv,
     load_model,
     predict_rows,
+    read_input,
     read_json,
     run_experiment,
     run_grid,
@@ -165,16 +166,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     return 0
 
 
+def _prediction_pairs(f) -> list[tuple[Any, Any]]:
+    reader = csv.DictReader(f)
+    if "predicted" not in (reader.fieldnames or []) or "actual" not in (reader.fieldnames or []):
+        raise InputError("predictions CSV needs 'predicted' and 'actual' columns")
+    return [(None if row["predicted"] == "abstain" else row["predicted"], row["actual"]) for row in reader]
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    pairs = []
-    with open(args.predictions, newline="") as f:
-        reader = csv.DictReader(f)
-        if "predicted" not in (reader.fieldnames or []) or "actual" not in (reader.fieldnames or []):
-            raise InputError("predictions CSV needs 'predicted' and 'actual' columns")
-        for row in reader:
-            pred = row["predicted"]
-            pairs.append((None if pred == "abstain" else pred, row["actual"]))
-    report = evaluate(pairs)
+    report = evaluate(read_input(args.predictions, _prediction_pairs))
     _write_json(report.to_json(), args.output)
     return 0
 
@@ -202,8 +202,14 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error is bad input (exit 1); 2 means a violated invariant
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="argmine",
         description="Learn defeasible arguments from tabular data via case models",
     )

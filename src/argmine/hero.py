@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .case_model import Literal, is_consistent, literal_set_key, literals, value_key
+from .case_model import Literal, claim, holds, is_consistent, literal_set_key, literals, value_key
 from .errors import InputError
 
 
@@ -30,10 +30,7 @@ class Rule:
             raise InputError("a rule needs at least one conclusion literal")
 
     def applies(self, instance: Mapping[str, Any]) -> bool:
-        return all(cond.matches(instance) for cond in self.premise)
-
-    def sort_key(self) -> tuple:
-        return (len(self.premise), literal_set_key(self.premise), literal_set_key(self.conclusion))
+        return holds(self.premise, instance)
 
     def __repr__(self) -> str:
         prem = ", ".join(map(repr, sorted(self.premise, key=lambda c: c.sort_key()))) or "∅"
@@ -80,10 +77,10 @@ class RuleList:
 
 def _first_match(rules: Sequence[Rule], instance: Mapping[str, Any], target: str) -> Any:
     for rule in rules:
-        if rule.applies(instance):
-            for lit in rule.conclusion:
-                if isinstance(lit, Literal) and lit.attribute == target:
-                    return lit.value
+        if holds(rule.premise, instance):
+            lit = claim(rule.conclusion, target)
+            if lit is not None:
+                return lit.value
     return None
 
 
@@ -191,12 +188,6 @@ class _Trainer:
             m |= b
         return m
 
-    def _rule_value(self, rule: Rule):
-        for lit in rule.conclusion:
-            if lit.attribute == self.target:
-                return lit.value
-        return None
-
     def best_insertion(self, rules: list[Rule]):
         """Best (gain, rule, position) this step, or None.
 
@@ -211,8 +202,8 @@ class _Trainer:
         """
         rule_info = []
         for rule in rules:
-            mask = self._premise_mask(rule.premise)
-            rule_info.append((mask, self._rule_value(rule)))
+            lit = claim(rule.conclusion, self.target)
+            rule_info.append((self._premise_mask(rule.premise), lit.value if lit else None))
         n_rules = len(rules)
         n_pos = n_rules + 1
 

@@ -15,63 +15,53 @@ analysis is after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .case_model import (
-    Argument,
-    Literal,
-    is_consistent,
-    literal_set_key,
-    value_key,
-)
+from .case_model import Argument, Literal, claim, holds, literal_set_key, value_key
 from .errors import InputError
 from .hero import Rule, RuleList
 from .pruned_search import Theory
 
 ABSTAIN = None
+MAX_CHAIN = 3  # rules per composite argument in the attack graph
 
 
-def _applies(premise: frozenset, instance: Mapping[str, Any]) -> bool:
-    return all(cond.matches(instance) for cond in premise)
+def _survives(arg: Argument, instance: Mapping[str, Any], target: str, found: list) -> bool:
+    """Does the argument apply with its claim on the target undefeated?
 
-
-def _undefeated_for(arg: Argument, instance: Mapping[str, Any], attribute: str) -> bool:
-    """Is the argument's claim on one attribute undefeated for the instance?
-
-    Only exceptions that conflict with the argument on that attribute
-    threaten the claim (a merged argument bundles several conclusions and
-    each stands or falls on its own); a threatening exception defeats iff
-    it applies and is itself undefeated, recursively, so an exception to
-    an exception reinstates the claim it overruled.
+    Only exceptions that claim another target value threaten the claim (a
+    merged argument bundles several conclusions and each stands or falls
+    on its own); a threatening exception defeats iff it applies and itself
+    survives, so an exception to an exception reinstates the claim it
+    overruled.  Every surviving argument in the tree that claims the target
+    is appended to ``found`` as (argument, literal).  Nothing below an
+    argument whose premise fails is visited: an exception's premise
+    properly extends its parent's, so it fails too.
     """
-    claimed = {lit.value for lit in arg.conclusion if lit.attribute == attribute}
+    if not holds(arg.premise, instance):
+        return False
+    lit = claim(arg.conclusion, target)
+    undefeated = True
     for exc in arg.exceptions:
-        threatens = any(
-            lit.attribute == attribute and lit.value not in claimed
-            for lit in exc.conclusion
-        )
-        if not threatens:
-            continue
-        if _applies(exc.premise, instance) and _undefeated_for(exc, instance, attribute):
-            return False
-    return True
+        if _survives(exc, instance, target, found):
+            rival = claim(exc.conclusion, target)
+            if rival is not None and rival != lit:
+                undefeated = False
+    if undefeated and lit is not None:
+        found.append((arg, lit))
+    return undefeated
 
 
-def _flatten_arguments(args) -> list[Argument]:
-    """Theory arguments together with their transitive exceptions.
-
-    Exceptions are arguments of the theory in their own right (that is
-    what makes them relevant), so prediction must consider them as
-    candidates, not only as defeaters.
-    """
-    out = []
-    stack = list(args)
-    while stack:
-        arg = stack.pop()
-        out.append(arg)
-        stack.extend(arg.exceptions)
-    return out
+def _rank(size_sign: int):
+    """Sort key over (argument, target literal) pairs: premise size times
+    ``size_sign``, then heavier source case, lexicographic premise, value."""
+    return lambda pair: (
+        size_sign * len(pair[0].premise),
+        -(pair[0].weight or 0),
+        literal_set_key(pair[0].premise),
+        pair[1].sort_key(),
+    )
 
 
 def predict_theory(
@@ -84,50 +74,22 @@ def predict_theory(
     The most general applicable argument concluding on the target (ties:
     heavier source case, then lexicographic premise) anchors the
     reasoning; within its exception tree, the claim that survives defeat
-    (see `_undefeated_for`: exceptions only count against their own
-    attribute, and an exception to an exception reinstates) wins, taking
-    the most specific surviving argument and breaking ties by source-case
-    weight.  No applicable argument means abstention (None).
+    (see `_survives`) wins, taking the most specific surviving argument
+    and breaking ties by source-case weight.  If the anchor is defeated,
+    its defeater survives and claims the target, so some claim always
+    survives.  No applicable argument means abstention (None).
     """
     roots = []
     for arg in theory.arguments:
-        target_lits = [lit for lit in arg.conclusion if lit.attribute == target]
-        if target_lits and _applies(arg.premise, instance):
-            roots.append((arg, target_lits[0]))
+        lit = claim(arg.conclusion, target)
+        if lit is not None and holds(arg.premise, instance):
+            roots.append((arg, lit))
     if not roots:
         return None
-    root, root_lit = min(
-        roots,
-        key=lambda pair: (
-            len(pair[0].premise),
-            -(pair[0].weight if pair[0].weight is not None else 0),
-            literal_set_key(pair[0].premise),
-            pair[1].sort_key(),
-        ),
-    )
-    best = None
-    best_key = None
-    for arg in _flatten_arguments([root]):
-        target_lits = [lit for lit in arg.conclusion if lit.attribute == target]
-        if not target_lits:
-            continue
-        if not _applies(arg.premise, instance):
-            continue
-        if not _undefeated_for(arg, instance, target):
-            continue
-        lit = target_lits[0]
-        key = (
-            -len(arg.premise),
-            -(arg.weight if arg.weight is not None else 0),
-            literal_set_key(arg.premise),
-            lit.sort_key(),
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best = lit.value
-    if best is None:
-        return root_lit.value  # every defeater was itself defeated
-    return best
+    anchor, _ = min(roots, key=_rank(1))
+    found: list[tuple[Argument, Literal]] = []
+    _survives(anchor, instance, target, found)
+    return min(found, key=_rank(-1))[1].value
 
 
 def predict_rule_list(rule_list: RuleList, instance: Mapping[str, Any], target: str | None = None) -> Any:
@@ -210,17 +172,11 @@ class ChainArgument:
     def is_composite(self) -> bool:
         return len(self.links) > 1
 
-    def sort_key(self) -> tuple:
-        return (len(self.links), self.links)
-
 
 @dataclass(frozen=True)
 class AttackGraph:
     nodes: tuple[ChainArgument, ...]
     attacks: tuple[tuple[int, int], ...]  # (attacker index, target index)
-
-    def attackers_of(self, i: int) -> list[int]:
-        return [a for a, t in self.attacks if t == i]
 
 
 def _literal_conflict(a: Iterable[Literal], b: Iterable[Literal]) -> bool:
@@ -241,7 +197,7 @@ def _as_rules(source: Theory | RuleList | Sequence[Rule]) -> list[tuple[frozense
     return [(r.premise, r.conclusion) for r in source]
 
 
-def attack_graph(source: Theory | RuleList | Sequence[Rule], max_chain: int = 3) -> AttackGraph:
+def attack_graph(source: Theory | RuleList | Sequence[Rule]) -> AttackGraph:
     """Rules plus forward-chained composites, with conflict edges.
 
     A rule extends a chain when part of its premise is discharged by the
@@ -269,7 +225,7 @@ def attack_graph(source: Theory | RuleList | Sequence[Rule], max_chain: int = 3)
         derived = frozenset(concl)
         asserted = frozenset(prem | concl)
         frontier.append((chain, derived, asserted))
-    for _ in range(1, max_chain):
+    for _ in range(1, MAX_CHAIN):
         next_frontier = []
         for chain, derived, asserted in frontier:
             for j, (prem, concl) in enumerate(literal_rules):
@@ -359,16 +315,14 @@ def preferred_extensions(graph: AttackGraph) -> list[frozenset[int]]:
     return preferred
 
 
-def detect_self_attack(
-    source: Theory | RuleList | Sequence[Rule], max_chain: int = 3
-) -> list[tuple[ChainArgument, ...]]:
+def detect_self_attack(source: Theory | RuleList | Sequence[Rule]) -> list[tuple[ChainArgument, ...]]:
     """Chains whose conclusions conflict with their own literals, plus
     mutually attacking pairs of composite arguments.
 
     An empty result certifies that chaining the learned rules cannot turn
     on itself, so grounded semantics loses nothing.
     """
-    graph = attack_graph(source, max_chain=max_chain)
+    graph = attack_graph(source)
     attacks = set(graph.attacks)
     offenders: list[tuple[ChainArgument, ...]] = []
     for i, node in enumerate(graph.nodes):

@@ -211,6 +211,10 @@ def apply_schemes(table: Table, schemes: Mapping[str, BinningScheme]) -> list[di
     return out
 
 
+# the types an ExperimentConfig annotation names; a JSON integer is a valid float
+_CONFIG_TYPES = {"str": str, "int": int, "float": (int, float), "None": type(None)}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment run needs; JSON- and flag-compatible."""
@@ -227,6 +231,11 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            allowed = tuple(_CONFIG_TYPES[name] for name in f.type.split(" | "))
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise InputError(f"config key {f.name!r} must be {f.type}, got {value!r}")
         if self.learner not in LEARNERS:
             raise InputError(f"learner must be one of {LEARNERS}, got {self.learner!r}")
         if self.binning not in BINNINGS:
@@ -246,18 +255,23 @@ class ExperimentConfig:
         return ExperimentConfig(**data)
 
 
-def read_json(path: str, parse: Callable[[Any], Any]) -> Any:
-    """``parse`` of the JSON in the input file ``path``; a missing file, bad
-    JSON, or content ``parse`` cannot read raise InputError naming the file."""
+def read_input(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the open input file ``path``; a missing file or content
+    ``parse`` cannot read raise InputError naming the file."""
     try:
-        with open(path) as f:
-            return parse(json.load(f))
+        with open(path, newline="") as f:
+            return parse(f)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:  # InputError is a ValueError
         raise InputError(f"{path}: {exc}") from None
+
+
+def read_json(path: str, parse: Callable[[Any], Any]) -> Any:
+    """``parse`` of the JSON in the input file ``path`` (see `read_input`)."""
+    return read_input(path, lambda f: parse(json.load(f)))
 
 
 def resolve_dataset(path: str) -> str:

@@ -98,7 +98,6 @@ class _Index:
     """Bitmask view of a case model: literals become bit positions."""
 
     def __init__(self, model: CaseModel):
-        self.model = model
         self.literals = model.all_literals()
         self.bit = {lit: 1 << i for i, lit in enumerate(self.literals)}
         self.attr_ids: dict[str, int] = {}

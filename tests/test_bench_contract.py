@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 from argmine import pipeline
+from argmine.case_model import build_case_model
+from argmine.hero import learn_hero
+from argmine.pruned_search import SearchConfig, learn_pruned
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -57,3 +60,23 @@ def test_run_grid_accepts_two_workers(tmp_path):
     ]
     results = pipeline.run_grid(configs, workers=2)
     assert [r.config for r in results] == configs
+
+
+def test_predict_rows_calls_each_predictor_once_per_row(worker):
+    # inference.predict_calls counts the spans of these two shims
+    rows = [{"x": i % 3, "t": i % 2} for i in range(12)]
+    models = {
+        "inference.predict_theory": learn_pruned(build_case_model(rows), SearchConfig(target_attributes=("t",))),
+        "inference.predict_rule_list": learn_hero(rows, "t"),
+    }
+    tracer = worker.Tracer("contract")
+    try:
+        for owner, attr, name, options in worker.SHIMS:
+            if name in models:
+                tracer.install(owner, attr, name, **options)
+        for model in models.values():
+            pipeline.predict_rows(model, rows, "t")
+    finally:
+        tracer.uninstall()
+    calls = [span[0] for span in tracer.spans]
+    assert {name: calls.count(name) for name in models} == {name: len(rows) for name in models}

@@ -223,6 +223,13 @@ class TestTypesAndJson:
         with pytest.raises(InputError):
             Argument(premise=literals({"a": 1}), conclusion=literals({"a": 1}))
 
+    def test_exception_must_properly_extend_the_premise(self):
+        parent = {"premise": literals({"a": 1}), "conclusion": literals({"d": 1})}
+        Argument(**parent, exceptions=(arg({"a": 1, "b": 1}, {"d": 0}),))
+        for premise in ({"a": 1}, {"b": 1}, {"a": 2, "b": 1}, {}):
+            with pytest.raises(InputError, match="does not properly extend"):
+                Argument(**parent, exceptions=(arg(premise, {"d": 0}),))
+
     def test_duplicate_cases_rejected(self):
         with pytest.raises(InputError):
             CaseModel(cases=(Case(literals({"a": 1})), Case(literals({"a": 1}))))

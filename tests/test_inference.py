@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from argmine.case_model import Literal, literals
+from argmine.case_model import Argument, Literal, literal_set_key, literals
 from argmine.datasets import presumption_of_innocence, presumption_rows
 from argmine.errors import InputError
 from argmine.hero import Rule, RuleList, learn_hero_multi
@@ -17,8 +17,10 @@ from argmine.inference import (
     predict_rule_list,
     predict_theory,
     preferred_extensions,
+    _survives,
 )
 from argmine.pruned_search import SearchConfig, learn_pruned
+from conftest import random_case_model
 
 TOL = 1e-9
 
@@ -69,6 +71,85 @@ class TestPredictTheory:
         assert predict_theory(theory, {"a": 0, "b": 0}, "d") == 1
         assert predict_theory(theory, {"a": 1, "b": 0}, "d") == 0
         assert predict_theory(theory, {"a": 1, "b": 1}, "d") == 1
+
+
+def flatten_and_recheck(theory, instance, target):
+    """Definitional prediction: anchor on the most general applicable
+    argument claiming the target, flatten its whole exception tree, and
+    test every node from scratch for applying, claiming the target and
+    being undefeated; the most specific such node wins."""
+
+    def applies(arg):
+        return all(lit.matches(instance) for lit in arg.premise)
+
+    def target_lit(arg):
+        return next((lit for lit in arg.conclusion if lit.attribute == target), None)
+
+    def undefeated(arg):
+        claimed = {lit.value for lit in arg.conclusion if lit.attribute == target}
+        return not any(
+            any(lit.attribute == target and lit.value not in claimed for lit in exc.conclusion)
+            and applies(exc) and undefeated(exc)
+            for exc in arg.exceptions
+        )
+
+    def key(arg, sign):
+        return (sign * len(arg.premise), -(arg.weight or 0), literal_set_key(arg.premise),
+                target_lit(arg).sort_key())
+
+    roots = [a for a in theory.arguments if target_lit(a) and applies(a)]
+    if not roots:
+        return None
+    anchor = min(roots, key=lambda a: key(a, 1))
+    tree, stack = [], [anchor]
+    while stack:
+        arg = stack.pop()
+        tree.append(arg)
+        stack.extend(arg.exceptions)
+    survivors = [a for a in tree if target_lit(a) and applies(a) and undefeated(a)]
+    if not survivors:
+        return target_lit(anchor).value
+    return target_lit(min(survivors, key=lambda a: key(a, -1))).value
+
+
+def every_instance(model):
+    """Every full and partial assignment over the model's attributes."""
+    options = [[None, *values] for values in model.attributes.values()]
+    for choice in itertools.product(*options):
+        yield {a: v for a, v in zip(model.attributes, choice) if v is not None}
+
+
+def test_predict_theory_matches_the_flattening_oracle():
+    # theories learned for every attribute mix target claims with merged
+    # conclusions and exceptions on the other attributes
+    rng = random.Random(5)
+    compared = 0
+    for _ in range(200):
+        model = random_case_model(rng)
+        target = rng.choice(list(model.attributes))
+        for depth, cap, targets in itertools.product((0, 1, 3), (1, 2, 4), (None, (target,))):
+            theory = learn_pruned(model, SearchConfig(cap, depth, targets))
+            for instance in every_instance(model):
+                expected = flatten_and_recheck(theory, instance, target)
+                assert predict_theory(theory, instance, target) == expected, (theory, instance, target)
+                compared += 1
+    assert compared > 50_000
+
+
+def test_survives_reports_defeat_and_reinstatement():
+    # d defaults to 1 (and e to 1); a=1 overrules d to 0; a=1,b=1 reinstates d=1
+    reinstate = Argument(premise=literals({"a": 1, "b": 1}), conclusion=literals({"d": 1}))
+    overrule = Argument(premise=literals({"a": 1}), conclusion=literals({"d": 0}), exceptions=(reinstate,))
+    other = Argument(premise=literals({"c": 1}), conclusion=literals({"e": 0}))
+    default = Argument(premise=frozenset(), conclusion=literals({"d": 1, "e": 1}), exceptions=(overrule, other))
+    for instance, survives, found in [
+        ({"a": 0, "c": 1}, True, [default]),  # an exception on e leaves the claim on d standing
+        ({"a": 1, "b": 0}, False, [overrule]),
+        ({"a": 1, "b": 1}, True, [reinstate, default]),
+    ]:
+        walked = []
+        assert _survives(default, instance, "d", walked) is survives, instance
+        assert [arg for arg, _ in walked] == found, instance
 
 
 class TestPredictRuleList:

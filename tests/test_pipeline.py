@@ -160,6 +160,7 @@ def write_json(path, data):
 BAD_INPUTS = [
     "missing model", "missing schemes", "missing config", "missing configs", "descending boundaries",
     "scheme without method", "argument without conclusion", "unknown config key",
+    "config value of wrong type", "missing predictions", "exception outside its parent",
 ]
 
 
@@ -192,11 +193,40 @@ def test_bad_input_files_exit_one(tmp_path, data_csv, capsys, case):
     elif case == "argument without conclusion":
         del model["arguments"][0]["conclusion"]
         argv, named = predict(), "'conclusion'"
+    elif case == "config value of wrong type":
+        config = {"dataset_path": data_csv, "target": "t", "max_premise_size": "3"}
+        argv, named = ["experiment", "--config", write_json(tmp_path / "c.json", config), "--quiet"], "'max_premise_size'"
+    elif case == "missing predictions":
+        argv, named = ["evaluate", "--predictions", missing], missing
+    elif case == "exception outside its parent":
+        # an exception that drops its parent's premise would apply where the parent does not
+        parent = next(a for a in model["arguments"] if a["premise"])
+        parent["exceptions"].append({"premise": {}, "conclusion": {"t": -1.0}})
+        argv, named = predict(), "does not properly extend"
     else:
         config = {"dataset_path": data_csv, "target": "t", "max_premise": 9}
         argv, named = ["experiment", "--config", write_json(tmp_path / "c.json", config), "--quiet"], "'max_premise'"
     assert cli.main(argv) == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{"seed": "0"}, {"bins": True}, {"split_fraction": "0.8"}, {"exception_depth": 5.0}])
+def test_config_value_of_wrong_type_is_rejected(data_csv, config):
+    # "0" would seed a different shuffle than 0, and True would pass as one bin
+    (key,) = config
+    with pytest.raises(InputError, match=repr(key)):
+        ExperimentConfig.from_json({"dataset_path": data_csv, "target": "t", **config})
+
+
+def test_usage_errors_exit_one(capsys):
+    for argv in (["experiment", "--bins", "x"], ["discretize", "--bins", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 1
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["experiment", "--help"])
+    assert exit_info.value.code == 0
 
 
 @pytest.mark.parametrize("binning", pipeline.BINNINGS)
