@@ -32,15 +32,12 @@ from .discretize import (
 )
 from .hero import Rule, RuleList, information_gain, learn_hero, learn_hero_multi, max_information_gain
 from .inference import (
-    AttackGraph,
     EvalReport,
-    attack_graph,
     detect_self_attack,
     evaluate,
     grounded_extension,
     predict_rule_list,
     predict_theory,
-    preferred_extensions,
 )
 from .pipeline import ExperimentConfig, load_csv, run_experiment, run_grid, split
 from .pruned_search import (

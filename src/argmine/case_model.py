@@ -182,10 +182,6 @@ class CaseModel:
                 {a: tuple(sorted(vs, key=value_key)) for a, vs in sorted(domains.items())},
             )
 
-    @property
-    def total_weight(self) -> int:
-        return sum(c.weight for c in self.cases)
-
     def all_literals(self) -> list[Literal]:
         out = {lit for case in self.cases for lit in case.literals}
         return sorted(out, key=Literal.sort_key)
@@ -264,14 +260,18 @@ def case_model_to_json(model: CaseModel) -> dict:
     }
 
 
+def _case_from_json(index: int, entry: Mapping[str, Any]) -> Case:
+    weight = entry.get("weight", 1)
+    if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+        raise InputError(f"case {index}: weight must be a positive integer, got {weight!r}")
+    return Case(literals(entry["literals"]), weight)
+
+
 def case_model_from_json(data: Mapping[str, Any]) -> CaseModel:
     try:
-        cases = tuple(
-            Case(literals(entry["literals"]), int(entry.get("weight", 1)))
-            for entry in data["cases"]
-        )
+        cases = tuple(_case_from_json(i, entry) for i, entry in enumerate(data["cases"]))
         attributes = {a: tuple(vs) for a, vs in data.get("attributes", {}).items()}
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise InputError(f"malformed case model JSON: {exc}") from exc
     return CaseModel(cases, attributes)
 

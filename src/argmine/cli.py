@@ -82,6 +82,9 @@ def _write_json(data: dict, path: str | None) -> None:
 def cmd_discretize(args: argparse.Namespace) -> int:
     table = load_csv(args.input)
     columns = args.columns.split(",") if args.columns else None
+    unknown = [c for c in columns or () if c not in table.columns]
+    if unknown:
+        raise InputError(f"{args.input} has no columns named {unknown}")
     work = Table(
         columns=[c for c in table.columns if columns is None or c in columns],
         rows=table.rows,
@@ -145,6 +148,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     table = load_csv(args.input)
     if args.schemes:
         schemes = read_json(args.schemes, lambda data: {k: BinningScheme.from_json(v) for k, v in data.items()})
+        # load_csv types each column as a whole: all floats or all strings
+        text = [c for c in table.columns if c in schemes and isinstance(table.rows[0][c], str)]
+        if text:
+            raise InputError(f"{args.input}: {args.schemes} has schemes for text columns {text}")
         rows = apply_schemes(table, schemes)
     else:
         rows = table.rows

@@ -1,16 +1,18 @@
 """Prediction from learned theories and rule lists, evaluation metrics,
-and Dung-style attack analysis of the learned arguments.
+and the conflict check on forward-chained rules.
 
-Prediction from a theory respects the exception structure: an argument is
-defeated when one of its exceptions applies to the instance and is itself
-undefeated (so an exception to an exception reinstates its grandparent).
-Rule lists predict by first applicable rule.
+A theory predicts the claim of the most specific applicable argument in
+the exception tree of its anchor.  That is the claim that survives
+defeat: an applicable exception defeats its parent when it claims a rival
+target value and is itself undefeated (so an exception to an exception
+reinstates its grandparent), i.e. the `grounded_extension` of the tree's
+acyclic attack graph.  A defeated claim has an undefeated defeater whose
+premise strictly extends its own, so the most specific applicable claim
+is never defeated.  Rule lists predict by first applicable rule.
 
-The attack graph chains rules forward (a rule's conclusions feeding
-another's premise) into composite arguments and draws an edge whenever a
-conclusion conflicts with the target's conclusion or one of its chained
-intermediate literals; self-attacking composites are the tell-tale the
-analysis is after.
+`detect_self_attack` chains rules forward (a rule's conclusions feeding
+another's premise) into composite arguments and reports those whose
+conclusion conflicts with their own chained literals or with each other.
 """
 
 from __future__ import annotations
@@ -24,33 +26,21 @@ from .hero import Rule, RuleList
 from .pruned_search import Theory
 
 ABSTAIN = None
-MAX_CHAIN = 3  # rules per composite argument in the attack graph
+MAX_CHAIN = 3  # rules per composite argument
 
 
-def _survives(arg: Argument, instance: Mapping[str, Any], target: str, found: list) -> bool:
-    """Does the argument apply with its claim on the target undefeated?
-
-    Only exceptions that claim another target value threaten the claim (a
-    merged argument bundles several conclusions and each stands or falls
-    on its own); a threatening exception defeats iff it applies and itself
-    survives, so an exception to an exception reinstates the claim it
-    overruled.  Every surviving argument in the tree that claims the target
-    is appended to ``found`` as (argument, literal).  Nothing below an
-    argument whose premise fails is visited: an exception's premise
-    properly extends its parent's, so it fails too.
-    """
+def _claims(arg: Argument, instance: Mapping[str, Any], target: str, found: list) -> None:
+    """Append (node, target literal) for every node of ``arg``'s exception
+    tree whose premise holds and that claims the target.  Nothing below a
+    node whose premise fails is visited: an exception's premise properly
+    extends its parent's, so it fails too."""
     if not holds(arg.premise, instance):
-        return False
+        return
     lit = claim(arg.conclusion, target)
-    undefeated = True
-    for exc in arg.exceptions:
-        if _survives(exc, instance, target, found):
-            rival = claim(exc.conclusion, target)
-            if rival is not None and rival != lit:
-                undefeated = False
-    if undefeated and lit is not None:
+    if lit is not None:
         found.append((arg, lit))
-    return undefeated
+    for exc in arg.exceptions:
+        _claims(exc, instance, target, found)
 
 
 def _rank(size_sign: int):
@@ -69,15 +59,17 @@ def predict_theory(
     instance: Mapping[str, Any],
     target: str,
 ) -> Any:
-    """Target value after descending the exception structure.
+    """Target value of the most specific applicable claim under the anchor.
 
     The most general applicable argument concluding on the target (ties:
     heavier source case, then lexicographic premise) anchors the
-    reasoning; within its exception tree, the claim that survives defeat
-    (see `_survives`) wins, taking the most specific surviving argument
-    and breaking ties by source-case weight.  If the anchor is defeated,
-    its defeater survives and claims the target, so some claim always
-    survives.  No applicable argument means abstention (None).
+    reasoning; among the nodes of its exception tree whose premise holds
+    and that claim the target, the largest premise wins, with the same
+    tie-breaks.  That claim is in the grounded extension, where an
+    exception attacks its parent when it claims a rival target value:
+    were it defeated, its undefeated defeater would claim the target with
+    a strictly larger premise and rank first.  No applicable argument
+    means abstention (None).
     """
     roots = []
     for arg in theory.arguments:
@@ -88,7 +80,7 @@ def predict_theory(
         return None
     anchor, _ = min(roots, key=_rank(1))
     found: list[tuple[Argument, Literal]] = []
-    _survives(anchor, instance, target, found)
+    _claims(anchor, instance, target, found)
     return min(found, key=_rank(-1))[1].value
 
 
@@ -160,23 +152,18 @@ class ChainArgument:
     literals not discharged by an earlier conclusion.
     """
 
-    links: tuple[int, ...]  # indices into the node's source rules
+    links: tuple[int, ...]  # indices into the source rules
     premise: frozenset
     intermediates: frozenset
     conclusion: frozenset
 
-    def attackable_literals(self) -> frozenset:
-        return self.conclusion | self.intermediates
+    def attacks(self, other: "ChainArgument") -> bool:
+        """Does this conclusion conflict with one of the other's literals?"""
+        return _literal_conflict(self.conclusion, other.conclusion | other.intermediates)
 
     @property
     def is_composite(self) -> bool:
         return len(self.links) > 1
-
-
-@dataclass(frozen=True)
-class AttackGraph:
-    nodes: tuple[ChainArgument, ...]
-    attacks: tuple[tuple[int, int], ...]  # (attacker index, target index)
 
 
 def _literal_conflict(a: Iterable[Literal], b: Iterable[Literal]) -> bool:
@@ -197,16 +184,14 @@ def _as_rules(source: Theory | RuleList | Sequence[Rule]) -> list[tuple[frozense
     return [(r.premise, r.conclusion) for r in source]
 
 
-def attack_graph(source: Theory | RuleList | Sequence[Rule]) -> AttackGraph:
-    """Rules plus forward-chained composites, with conflict edges.
+def _chains(source: Theory | RuleList | Sequence[Rule]) -> list[ChainArgument]:
+    """Every rule, then forward-chained composites of up to `MAX_CHAIN` rules.
 
     A rule extends a chain when part of its premise is discharged by the
     literals concluded so far, its remaining premise does not contradict
     the chain's asserted literals, and its conclusion adds something new
     (chains that only re-derive what is already asserted are not larger
-    arguments and are skipped).  Edges go from an argument to every
-    argument whose conclusion or intermediate literals its conclusion
-    conflicts with.
+    arguments and are skipped).
     """
     rules = _as_rules(source)
     literal_rules = [
@@ -253,66 +238,28 @@ def attack_graph(source: Theory | RuleList | Sequence[Rule]) -> AttackGraph:
                     (new_chain, derived | concl, asserted | prem | concl)
                 )
         frontier = next_frontier
-    edges = []
-    for a, attacker in enumerate(nodes):
-        for t, victim in enumerate(nodes):
-            if _literal_conflict(attacker.conclusion, victim.attackable_literals()):
-                edges.append((a, t))
-    return AttackGraph(nodes=tuple(nodes), attacks=tuple(edges))
+    return nodes
 
 
-def grounded_extension(graph: AttackGraph) -> frozenset[int]:
-    """Least fixed point of the defense operator over node indices.
+def grounded_extension(n: int, attacks: Iterable[tuple[int, int]]) -> frozenset[int]:
+    """Least fixed point of the defense operator over the arguments
+    ``range(n)`` and the (attacker, target) pairs ``attacks``.
 
     Start from the unattacked arguments and keep adding every argument all
     of whose attackers are attacked by the current set; the result is the
-    unique grounded extension, independent of iteration order.
+    unique grounded extension (Dung 1995), independent of iteration order.
     """
-    attackers: dict[int, set[int]] = {i: set() for i in range(len(graph.nodes))}
-    for a, t in graph.attacks:
+    attacks = list(attacks)
+    attackers: list[set[int]] = [set() for _ in range(n)]
+    for a, t in attacks:
         attackers[t].add(a)
     current: set[int] = set()
     while True:
-        attacked_by_current = {
-            t for a, t in graph.attacks if a in current
-        }
-        new = {
-            i
-            for i in range(len(graph.nodes))
-            if all(att in attacked_by_current for att in attackers[i])
-        }
+        attacked_by_current = {t for a, t in attacks if a in current}
+        new = {i for i in range(n) if attackers[i] <= attacked_by_current}
         if new == current:
             return frozenset(current)
         current = new
-
-
-def preferred_extensions(graph: AttackGraph) -> list[frozenset[int]]:
-    """All maximal admissible sets, by brute force (small graphs only)."""
-    n = len(graph.nodes)
-    if n > 20:
-        raise InputError(f"brute-force preferred semantics capped at 20 nodes, got {n}")
-    attacks = set(graph.attacks)
-    admissible: list[set[int]] = []
-    for mask in range(1 << n):
-        s = {i for i in range(n) if mask & (1 << i)}
-        if any((a, t) in attacks for a in s for t in s):
-            continue
-        ok = True
-        for member in s:
-            for a, t in attacks:
-                if t == member and not any((d, a) in attacks for d in s):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            admissible.append(s)
-    preferred = [
-        frozenset(s)
-        for s in admissible
-        if not any(s < other for other in admissible)
-    ]
-    return preferred
 
 
 def detect_self_attack(source: Theory | RuleList | Sequence[Rule]) -> list[tuple[ChainArgument, ...]]:
@@ -322,19 +269,15 @@ def detect_self_attack(source: Theory | RuleList | Sequence[Rule]) -> list[tuple
     An empty result certifies that chaining the learned rules cannot turn
     on itself, so grounded semantics loses nothing.
     """
-    graph = attack_graph(source)
-    attacks = set(graph.attacks)
     offenders: list[tuple[ChainArgument, ...]] = []
-    for i, node in enumerate(graph.nodes):
-        if (i, i) in attacks:
-            offenders.append((node,))
-    for i, a in enumerate(graph.nodes):
-        if not a.is_composite or (i, i) in attacks:
-            continue
-        for j in range(i + 1, len(graph.nodes)):
-            b = graph.nodes[j]
-            if not b.is_composite or (j, j) in attacks:
-                continue
-            if (i, j) in attacks and (j, i) in attacks:
+    composites = []
+    for chain in _chains(source):
+        if chain.attacks(chain):
+            offenders.append((chain,))
+        elif chain.is_composite:
+            composites.append(chain)
+    for i, a in enumerate(composites):
+        for b in composites[i + 1:]:
+            if a.attacks(b) and b.attacks(a):
                 offenders.append((a, b))
     return offenders

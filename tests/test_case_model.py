@@ -84,7 +84,7 @@ class TestBuildCaseModel:
                 for _ in range(rng.randint(1, 30))
             ]
             model = build_case_model(rows)
-            assert model.total_weight == len(rows)
+            assert sum(c.weight for c in model.cases) == len(rows)
 
 
 class TestValidityNotions:

@@ -3,23 +3,18 @@ import random
 
 import pytest
 
-from argmine.case_model import Argument, Literal, literal_set_key, literals
+from argmine.case_model import Argument, literal_set_key, literals
 from argmine.datasets import presumption_of_innocence, presumption_rows
 from argmine.errors import InputError
 from argmine.hero import Rule, RuleList, learn_hero_multi
 from argmine.inference import (
-    AttackGraph,
-    ChainArgument,
-    attack_graph,
     detect_self_attack,
     evaluate,
     grounded_extension,
     predict_rule_list,
     predict_theory,
-    preferred_extensions,
-    _survives,
 )
-from argmine.pruned_search import SearchConfig, learn_pruned
+from argmine.pruned_search import SearchConfig, Theory, learn_pruned
 from conftest import random_case_model
 
 TOL = 1e-9
@@ -27,15 +22,6 @@ TOL = 1e-9
 
 def rule(premise, conclusion):
     return Rule(premise=literals(premise), conclusion=literals(conclusion))
-
-
-def graph_from_attacks(n, attacks):
-    nodes = tuple(
-        ChainArgument(links=(i,), premise=frozenset(), intermediates=frozenset(),
-                      conclusion=frozenset([Literal("c", i)]))
-        for i in range(n)
-    )
-    return AttackGraph(nodes=nodes, attacks=tuple(attacks))
 
 
 @pytest.fixture
@@ -112,6 +98,48 @@ def flatten_and_recheck(theory, instance, target):
     return target_lit(min(survivors, key=lambda a: key(a, -1))).value
 
 
+def grounded_labelling(anchor, instance, target):
+    """The applicable nodes of ``anchor``'s exception tree, each with its
+    target literal (or None), and the grounded extension of the attack
+    graph in which an exception attacks its parent when it claims a
+    different target value."""
+    nodes, attacks = [], []
+
+    def visit(arg, parent):
+        if not all(lit.matches(instance) for lit in arg.premise):
+            return
+        lit = next((lit for lit in arg.conclusion if lit.attribute == target), None)
+        nodes.append((arg, lit))
+        index = len(nodes) - 1
+        if parent is not None and lit is not None and lit != nodes[parent][1]:
+            attacks.append((index, parent))
+        for exc in arg.exceptions:
+            visit(exc, index)
+
+    visit(anchor, None)
+    return nodes, grounded_extension(len(nodes), attacks)
+
+
+def grounded_prediction(theory, instance, target):
+    """Definitional prediction through Dung semantics: anchor as the
+    flattening oracle does, then take the most specific target claim in
+    the grounded extension of the anchor's applicable exception tree."""
+
+    def key(arg, lit, sign):
+        return (sign * len(arg.premise), -(arg.weight or 0), literal_set_key(arg.premise), lit.sort_key())
+
+    roots = [
+        (a, lit) for a in theory.arguments for lit in a.conclusion
+        if lit.attribute == target and all(p.matches(instance) for p in a.premise)
+    ]
+    if not roots:
+        return None
+    anchor, _ = min(roots, key=lambda pair: key(*pair, 1))
+    nodes, grounded = grounded_labelling(anchor, instance, target)
+    claims = [nodes[i] for i in grounded if nodes[i][1] is not None]
+    return min(claims, key=lambda pair: key(*pair, -1))[1].value
+
+
 def every_instance(model):
     """Every full and partial assignment over the model's attributes."""
     options = [[None, *values] for values in model.attributes.values()]
@@ -131,6 +159,7 @@ def test_predict_theory_matches_the_flattening_oracle():
             theory = learn_pruned(model, SearchConfig(cap, depth, targets))
             for instance in every_instance(model):
                 expected = flatten_and_recheck(theory, instance, target)
+                assert grounded_prediction(theory, instance, target) == expected, (theory, instance, target)
                 assert predict_theory(theory, instance, target) == expected, (theory, instance, target)
                 compared += 1
     assert compared > 50_000
@@ -142,14 +171,15 @@ def test_survives_reports_defeat_and_reinstatement():
     overrule = Argument(premise=literals({"a": 1}), conclusion=literals({"d": 0}), exceptions=(reinstate,))
     other = Argument(premise=literals({"c": 1}), conclusion=literals({"e": 0}))
     default = Argument(premise=frozenset(), conclusion=literals({"d": 1, "e": 1}), exceptions=(overrule, other))
-    for instance, survives, found in [
-        ({"a": 0, "c": 1}, True, [default]),  # an exception on e leaves the claim on d standing
-        ({"a": 1, "b": 0}, False, [overrule]),
-        ({"a": 1, "b": 1}, True, [reinstate, default]),
+    theory = Theory(arguments=(default,), config=SearchConfig(), model_summary={})
+    for instance, undefeated, predicted in [
+        ({"a": 0, "c": 1}, [default, other], 1),  # an exception on e leaves the claim on d standing
+        ({"a": 1, "b": 0}, [overrule], 0),
+        ({"a": 1, "b": 1}, [default, reinstate], 1),
     ]:
-        walked = []
-        assert _survives(default, instance, "d", walked) is survives, instance
-        assert [arg for arg, _ in walked] == found, instance
+        nodes, grounded = grounded_labelling(default, instance, "d")
+        assert [nodes[i][0] for i in sorted(grounded)] == undefeated, instance
+        assert predict_theory(theory, instance, "d") == predicted, instance
 
 
 class TestPredictRuleList:
@@ -210,36 +240,15 @@ class TestEvaluate:
         assert abs(report.weighted_f1 - plain) < TOL
 
 
-class TestAttackGraph:
-    def test_disjoint_rules_no_edges(self):
-        g = attack_graph([rule({"a": 1}, {"b": 1}), rule({"c": 1}, {"d": 1})])
-        assert g.attacks == ()
-
-    def test_direct_conclusion_conflict_is_mutual(self):
-        g = attack_graph([rule({"a": 1}, {"d": 1}), rule({"a": 1}, {"d": 0})])
-        assert (0, 1) in g.attacks and (1, 0) in g.attacks
-
-    def test_hero_legal_pair_produces_self_attacking_composite(self):
-        merged = learn_hero_multi(presumption_rows())
-        g = attack_graph(merged)
-        composites = [n for n in g.nodes if n.is_composite]
-        assert composites, "chaining the default into the specific rule must compose"
-        self_attackers = [i for i, n in enumerate(g.nodes) if (i, i) in set(g.attacks)]
-        assert self_attackers
-
-
 class TestGroundedExtension:
     def test_no_attacks_keeps_everything(self):
-        g = graph_from_attacks(3, [])
-        assert grounded_extension(g) == {0, 1, 2}
+        assert grounded_extension(3, []) == {0, 1, 2}
 
     def test_chain_reinstates_the_end(self):
-        g = graph_from_attacks(3, [(0, 1), (1, 2)])
-        assert grounded_extension(g) == {0, 2}
+        assert grounded_extension(3, [(0, 1), (1, 2)]) == {0, 2}
 
     def test_mutual_attack_defends_nobody(self):
-        g = graph_from_attacks(2, [(0, 1), (1, 0)])
-        assert grounded_extension(g) == frozenset()
+        assert grounded_extension(2, [(0, 1), (1, 0)]) == frozenset()
 
     def test_conflict_free_and_admissible(self, rng):
         for _ in range(40):
@@ -250,30 +259,13 @@ class TestGroundedExtension:
                 for b in range(n)
                 if rng.random() < 0.25
             ]
-            g = graph_from_attacks(n, attacks)
-            ext = grounded_extension(g)
+            ext = grounded_extension(n, attacks)
             att = set(attacks)
             assert not any((a, b) in att for a in ext for b in ext)
             for member in ext:
                 for a, t in att:
                     if t == member:
                         assert any((d, a) in att for d in ext)
-
-    def test_grounded_subset_of_every_preferred(self, rng):
-        for _ in range(30):
-            n = rng.randint(1, 9)
-            attacks = [
-                (a, b)
-                for a in range(n)
-                for b in range(n)
-                if rng.random() < 0.2
-            ]
-            g = graph_from_attacks(n, attacks)
-            grounded = grounded_extension(g)
-            preferred = preferred_extensions(g)
-            assert preferred, "at least one preferred extension always exists"
-            for ext in preferred:
-                assert grounded <= ext
 
 
 class TestDetectSelfAttack:
@@ -289,3 +281,9 @@ class TestDetectSelfAttack:
 
     def test_single_rule_clean(self):
         assert detect_self_attack([rule({"a": 1}, {"d": 1})]) == []
+
+    def test_mutually_attacking_composites(self):
+        rules = [rule({"a2": 1}, {"a0": 0}), rule({"a1": 0}, {"a2": 1}),
+                 rule({"a3": 1}, {"a0": 1}), rule({"a0": 0}, {"a3": 1})]
+        offenders = detect_self_attack(rules)
+        assert [[chain.links for chain in o] for o in offenders] == [[(0, 3, 2)], [(1, 0), (3, 2)]]

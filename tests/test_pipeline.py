@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from argmine import cli, discretize, pipeline
+from argmine import cli, datasets, discretize, pipeline
 from argmine.errors import InputError, InvariantError
 from argmine.pipeline import ExperimentConfig, Table, fit_schemes, load_csv, run_experiment
+from argmine.pruned_search import SearchConfig, learn_pruned
 
 COLUMNS = ["x1", "x2", "flag", "t"]
 
@@ -125,6 +126,40 @@ def test_predict_tree_on_csv_missing_a_feature(tmp_path, data_csv, capsys):
     assert repr(missing) in capsys.readouterr().err
 
 
+def test_predict_with_a_scheme_for_a_text_column(tmp_path, data_csv, capsys):
+    result = run_experiment(config_for(data_csv, "hero"))
+    rows = synthetic_rows(3)
+    for row, text in zip(rows, "abc"):
+        row["x1"] = text
+    text_csv = write_csv(tmp_path / "text.csv", rows)
+    code, _ = cli_predict(tmp_path, result, text_csv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "['x1']" in err and text_csv in err
+
+
+def test_discretize_unknown_columns(data_csv, capsys):
+    assert cli.main(["discretize", "--input", data_csv, "--method", "equal-width", "--columns", "x1,nosuch,t"]) == 1
+    assert "['nosuch']" in capsys.readouterr().err
+
+
+def test_learn_on_a_case_model(tmp_path, capsys):
+    # the bundled legal model: HeRO's rules for every attribute chain into a
+    # self-attacking argument, its rules for one target do not
+    path = datasets.presumption_of_innocence_path()
+    out = tmp_path / "model.json"
+    learn = ["learn", "--input", path, "--output", str(out), "--learner"]
+    assert cli.main([*learn, "pruned_search"]) == 0
+    model = datasets.presumption_of_innocence()
+    theory = learn_pruned(model, SearchConfig(max_premise_size=len(model.attributes), exception_depth=5))
+    assert json.loads(out.read_text()) == json.loads(json.dumps(theory.to_json()))
+    capsys.readouterr()
+    assert cli.main([*learn, "hero"]) == 0
+    assert "self-attacking" in capsys.readouterr().err
+    assert cli.main([*learn, "hero", "--target", "guilty"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def _tree_nodes(node):
     yield node
     for child in ("left", "right"):
@@ -161,6 +196,7 @@ BAD_INPUTS = [
     "missing model", "missing schemes", "missing config", "missing configs", "descending boundaries",
     "scheme without method", "argument without conclusion", "unknown config key",
     "config value of wrong type", "missing predictions", "exception outside its parent",
+    "fractional case weight", "boolean case weight", "string case weight", "case that is not an object",
 ]
 
 
@@ -203,6 +239,14 @@ def test_bad_input_files_exit_one(tmp_path, data_csv, capsys, case):
         parent = next(a for a in model["arguments"] if a["premise"])
         parent["exceptions"].append({"premise": {}, "conclusion": {"t": -1.0}})
         argv, named = predict(), "does not properly extend"
+    elif case.endswith("case weight"):
+        weight = {"fractional": 2.7, "boolean": True, "string": "3"}[case.split()[0]]
+        cases = [{"literals": {"a": 1}, "weight": 2}, {"literals": {"a": 0}, "weight": weight}]
+        path = write_json(tmp_path / "cases.json", {"cases": cases})
+        argv, named = ["learn", "--input", path, "--learner", "pruned_search"], f"case 1: weight must be a positive integer, got {weight!r}"
+    elif case == "case that is not an object":
+        named = write_json(tmp_path / "cases.json", {"cases": [1]})
+        argv = ["learn", "--input", named, "--learner", "hero"]
     else:
         config = {"dataset_path": data_csv, "target": "t", "max_premise": 9}
         argv, named = ["experiment", "--config", write_json(tmp_path / "c.json", config), "--quiet"], "'max_premise'"
