@@ -205,6 +205,73 @@ def build_case_model(rows: Sequence[Mapping[str, Any]]) -> CaseModel:
     return CaseModel(cases)
 
 
+class CaseIndex:
+    """Bitmask view of a case model: literals become bit positions.
+
+    Cases and premises are compacted to integer bitmasks over the model's
+    observed literals, which keeps the coherence and validity scans of the
+    pruned search and the row matching of HeRO cheap even on a few
+    hundred cases.
+    """
+
+    def __init__(self, model: CaseModel):
+        self.literals = model.all_literals()
+        self.bit = {lit: 1 << i for i, lit in enumerate(self.literals)}
+        self.attr_ids: dict[str, int] = {}
+        for lit in self.literals:
+            self.attr_ids.setdefault(lit.attribute, len(self.attr_ids))
+        self.attr_bit = {lit: 1 << self.attr_ids[lit.attribute] for lit in self.literals}
+        # cases ordered by descending weight (model guarantees the order)
+        self.case_masks = [self._mask(c.literals) for c in model.cases]
+        self.case_weights = [c.weight for c in model.cases]
+
+    def _mask(self, lits: Iterable[Literal]) -> int:
+        return sum(self.bit[lit] for lit in lits)
+
+    def mask_of(self, lits: Iterable[Literal]) -> int | None:
+        """Bitmask of a literal set, or None if a literal is unobserved."""
+        m = 0
+        for lit in lits:
+            b = self.bit.get(lit)
+            if b is None:
+                return None
+            m |= b
+        return m
+
+    def literals_of(self, mask: int) -> frozenset[Literal]:
+        return frozenset(lit for lit in self.literals if self.bit[lit] & mask)
+
+    def support_sum(self, mask: int) -> int:
+        """Total weight of the cases containing every literal in the mask."""
+        return sum(
+            w for cm, w in zip(self.case_masks, self.case_weights) if cm & mask == mask
+        )
+
+    def scan(self, pmask: int, cmask: int):
+        """Classify (premise, conclusion) in one pass over the cases.
+
+        Returns (coherent, presumptively_valid, conclusive, support) where
+        support is the weight of the heaviest case containing both sides.
+        Presumptive validity takes the existential reading of weight ties:
+        the conclusion must hold in some heaviest premise case.
+        """
+        full = pmask | cmask
+        top_w = None
+        all_contain = True
+        support = None
+        for cm, w in zip(self.case_masks, self.case_weights):
+            if cm & pmask == pmask:
+                if top_w is None:
+                    top_w = w
+                if cm & full == full:
+                    if support is None:
+                        support = w
+                else:
+                    all_contain = False
+        coherent = support is not None
+        return coherent, coherent and support == top_w, coherent and all_contain, support
+
+
 def _premise_cases(model: CaseModel, premise: frozenset[Literal]) -> list[Case]:
     return [c for c in model.cases if c.contains(premise)]
 

@@ -17,7 +17,7 @@ from typing import Any
 from .case_model import case_model_from_json
 from .discretize import BinningScheme
 from .errors import InputError, InvariantError
-from .hero import learn_hero, learn_hero_multi
+from .hero import RuleList, learn_hero, learn_hero_multi
 from .inference import detect_self_attack, evaluate
 from .pipeline import (
     BINNINGS,
@@ -36,7 +36,7 @@ from .pipeline import (
     run_experiment,
     run_grid,
 )
-from .pruned_search import SearchConfig, learn_pruned
+from .pruned_search import SearchConfig, Theory, learn_pruned
 
 
 def _bins_value(text: str):
@@ -105,23 +105,18 @@ def cmd_discretize(args: argparse.Namespace) -> int:
 
 def _learn_from_case_model(args: argparse.Namespace) -> int:
     model = read_json(args.input, case_model_from_json)
+    if args.target and args.target not in {lit.attribute for lit in model.all_literals()}:
+        raise InputError(f"{args.input}: no case assigns the target {args.target!r}")
     if args.learner == "pruned_search":
-        theory = learn_pruned(
-            model,
-            SearchConfig(
-                max_premise_size=args.max_premise_size or len(model.attributes),
-                exception_depth=args.exception_depth if args.exception_depth is not None else 5,
-                target_attributes=(args.target,) if args.target else None,
-            ),
-        )
+        # flags left out keep SearchConfig's defaults, except that premises may use every attribute
+        given = {"max_premise_size": args.max_premise_size, "exception_depth": args.exception_depth}
+        search = {k: v for k, v in given.items() if v is not None}
+        search.setdefault("max_premise_size", max(len(model.attributes), 1))
+        theory = learn_pruned(model, SearchConfig(**search, target_attributes=(args.target,) if args.target else None))
         _write_json(theory.to_json(), args.output)
         return 0
     if args.learner == "hero":
-        rows = []
-        for case in model.cases:
-            row = {lit.attribute: lit.value for lit in case.literals}
-            rows.extend([row] * case.weight)
-        rl = learn_hero(rows, args.target) if args.target else learn_hero_multi(rows)
+        rl = learn_hero(model, args.target) if args.target else learn_hero_multi(model)
         _write_json(rl.to_json(), args.output)
         if detect_self_attack(rl):
             print("warning: the learned rules imply self-attacking arguments", file=sys.stderr)
@@ -146,6 +141,16 @@ def cmd_learn(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     table = load_csv(args.input)
+    # a tree names its missing feature when it predicts; rule premises would just fail
+    premises = [r.premise for r in model.rules] if isinstance(model, RuleList) else []
+    nodes = list(model.arguments) if isinstance(model, Theory) else []
+    while nodes:
+        node = nodes.pop()
+        premises.append(node.premise)
+        nodes.extend(node.exceptions)
+    missing = sorted({lit.attribute for p in premises for lit in p} - set(table.columns) - {args.target})
+    if missing:
+        raise InputError(f"{args.input} lacks the columns {missing} that the model's premises use")
     if args.schemes:
         schemes = read_json(args.schemes, lambda data: {k: BinningScheme.from_json(v) for k, v in data.items()})
         # load_csv types each column as a whole: all floats or all strings

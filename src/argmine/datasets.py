@@ -32,11 +32,3 @@ def presumption_of_innocence() -> CaseModel:
         )
     )
 
-
-def presumption_rows() -> list[dict]:
-    """The same model flattened into weighted training rows."""
-    return [
-        {"innocent": True, "guilty": False},
-        {"innocent": True, "guilty": False},
-        {"innocent": False, "guilty": True, "evidence": True},
-    ]

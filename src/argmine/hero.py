@@ -7,6 +7,10 @@ stops when nothing improves.  Whether a more specific premise is worth
 exploring is decided by the maximum information gain: the gain a perfect
 oracle rule on the same premise would achieve, an upper bound for all of
 its specializations.
+
+HeRO learns from the same weighted case model as the pruned search: each
+case that assigns the target is one training row, counted with the
+case's weight, and premises match rows through the ``CaseIndex`` masks.
 """
 
 from __future__ import annotations
@@ -14,7 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .case_model import Literal, claim, holds, is_consistent, literal_set_key, literals, value_key
+from .case_model import (
+    CaseIndex,
+    CaseModel,
+    Literal,
+    claim,
+    holds,
+    is_consistent,
+    literal_set_key,
+    literals,
+    value_key,
+)
 from .errors import InputError
 
 
@@ -138,55 +152,28 @@ def max_information_gain(
 
 
 class _Trainer:
-    """Weighted compressed rows plus the greedy step with gain pruning.
+    """The cases that assign the target, plus the greedy step with gain pruning.
 
-    Rows and premises are packed into integer bitmasks over the observed
-    non-target literals; each premise's matching-row list shrinks as the
-    premise specializes, so child evaluations touch only the parent's
-    matches.
+    A row is such a case: its ``CaseIndex`` mask, target value and weight.
+    Each premise's matching-row list shrinks as the premise specializes,
+    so child evaluations touch only the parent's matches.
     """
 
-    def __init__(self, rows: Sequence[Mapping[str, Any]], target: str):
-        usable = [r for r in rows if target in r]
-        if not usable:
-            raise InputError(f"no row assigns the target attribute {target!r}")
+    def __init__(self, model: CaseModel, target: str):
         self.target = target
-        counts: dict[tuple, int] = {}
-        for row in usable:
-            key = tuple(sorted((a, v) for a, v in row.items()))
-            counts[key] = counts.get(key, 0) + 1
-        keys = sorted(counts.keys(), key=lambda k: tuple((a, value_key(v)) for a, v in k))
-        self.rows = [
-            (
-                frozenset(Literal(a, v) for a, v in key if a != target),
-                dict(key)[target],
-                counts[key],
-            )
-            for key in keys
+        self.index = CaseIndex(model)
+        rows = [
+            (mask, lit.value, weight)
+            for case, mask, weight in zip(model.cases, self.index.case_masks, self.index.case_weights)
+            if (lit := claim(case.literals, target)) is not None
         ]
-        self.total = sum(w for _, _, w in self.rows)
-        lits = {lit for prem, _, _ in self.rows for lit in prem}
-        self.literals = sorted(lits, key=Literal.sort_key)
-        self.values = sorted({v for _, v, _ in self.rows}, key=value_key)
-        self._bit = {lit: 1 << i for i, lit in enumerate(self.literals)}
-        attr_ids: dict[str, int] = {}
-        for lit in self.literals:
-            attr_ids.setdefault(lit.attribute, len(attr_ids))
-        self._attr_bit = [1 << attr_ids[lit.attribute] for lit in self.literals]
-        self._row_masks = [
-            sum(self._bit[lit] for lit in prem) for prem, _, _ in self.rows
-        ]
-        self._row_targets = [v for _, v, _ in self.rows]
-        self._row_weights = [w for _, _, w in self.rows]
-
-    def _premise_mask(self, premise: frozenset) -> int | None:
-        m = 0
-        for lit in premise:
-            b = self._bit.get(lit)
-            if b is None:
-                return None  # unobserved literal: matches nothing
-            m |= b
-        return m
+        if not rows:
+            raise InputError(f"no case assigns the target attribute {target!r}")
+        self._row_masks, self._row_targets, self._row_weights = zip(*rows)
+        self.total = sum(self._row_weights)
+        self.values = sorted(set(self._row_targets), key=value_key)
+        self._target_attr_bit = self.index.attr_bit[Literal(target, self._row_targets[0])]
+        self._lit_bits = [(self.index.bit[lit], self.index.attr_bit[lit]) for lit in self.index.literals]
 
     def best_insertion(self, rules: list[Rule]):
         """Best (gain, rule, position) this step, or None.
@@ -203,7 +190,7 @@ class _Trainer:
         rule_info = []
         for rule in rules:
             lit = claim(rule.conclusion, self.target)
-            rule_info.append((self._premise_mask(rule.premise), lit.value if lit else None))
+            rule_info.append((self.index.mask_of(rule.premise), lit.value if lit else None))
         n_rules = len(rules)
         n_pos = n_rules + 1
 
@@ -216,7 +203,7 @@ class _Trainer:
         row_idx = [first_idx(m) for m in self._row_masks]
         row_correct = [
             row_idx[i] < n_rules and rule_info[row_idx[i]][1] == self._row_targets[i]
-            for i in range(len(self.rows))
+            for i in range(len(self._row_masks))
         ]
         best_gain = 0.0
         best = None  # (sort key, premise frozenset, value, position)
@@ -236,7 +223,7 @@ class _Trainer:
             else:
                 positions = [n_rules]
             if positions:
-                premise = frozenset(self.literals[j] for j in premise_lits)
+                premise = frozenset(self.index.literals[j] for j in premise_lits)
                 pkey = literal_set_key(premise)
                 for value in self.values:
                     deltas = [0.0] * (n_pos + 1)
@@ -268,21 +255,21 @@ class _Trainer:
                             best_gain = gain
             return mig
 
-        all_rows = list(range(len(self.rows)))
+        all_rows = list(range(len(self._row_masks)))
         mig0 = consider((), all_rows)
-        # stack entries: (premise literal ids, premise attr mask, matching, mig)
-        stack = [((), 0, all_rows, mig0)]
-        n_lits = len(self.literals)
+        # stack entries: (premise literal ids, premise attr mask, matching, mig);
+        # the target's attribute starts out set, so no premise names it
+        stack = [((), self._target_attr_bit, all_rows, mig0)]
+        n_lits = len(self.index.literals)
         while stack:
             premise_lits, attr_mask, matching, mig = stack.pop()
             if mig <= best_gain:
                 continue
             start = premise_lits[-1] + 1 if premise_lits else 0
             for j in range(start, n_lits):
-                ab = self._attr_bit[j]
+                bit, ab = self._lit_bits[j]
                 if ab & attr_mask:
                     continue
-                bit = 1 << j
                 child_matching = [i for i in matching if self._row_masks[i] & bit]
                 if not child_matching:
                     continue
@@ -299,19 +286,17 @@ class _Trainer:
         return best_gain, rule, best[3]
 
 
-def learn_hero(rows: Sequence[Mapping[str, Any]], target: str) -> RuleList:
+def learn_hero(model: CaseModel, target: str) -> RuleList:
     """Grow a rule list for one target attribute by greedy information gain.
 
-    Rows lacking the target are ignored; duplicate rows act as weights.
+    Cases lacking the target are ignored; case weights count as rows.
     Every step inserts the (rule, position) pair with the highest strictly
     positive gain (ties: smaller premise, higher maximum information gain,
     lexicographic premise and conclusion, earliest position) and the loop
     stops when no insertion helps, so training accuracy increases strictly
     monotonically and the loop terminates.
     """
-    if not rows:
-        raise InputError("cannot learn from zero rows")
-    trainer = _Trainer(rows, target)
+    trainer = _Trainer(model, target)
     rules: list[Rule] = []
     while True:
         step = trainer.best_insertion(rules)
@@ -322,7 +307,7 @@ def learn_hero(rows: Sequence[Mapping[str, Any]], target: str) -> RuleList:
     return RuleList(tuple(rules), target=target)
 
 
-def learn_hero_multi(rows: Sequence[Mapping[str, Any]], targets: Iterable[str] | None = None) -> RuleList:
+def learn_hero_multi(model: CaseModel, targets: Iterable[str] | None = None) -> RuleList:
     """Learn one list per target and merge them for presentation.
 
     Used for the legal micro examples where no single target is
@@ -330,11 +315,11 @@ def learn_hero_multi(rows: Sequence[Mapping[str, Any]], targets: Iterable[str] |
     identical premises are merged into conjunction conclusions, and the
     merged defaults close the list.
     """
-    if not rows:
-        raise InputError("cannot learn from zero rows")
+    if not model.cases:
+        raise InputError("cannot learn from an empty case model")
     if targets is None:
-        targets = sorted({a for row in rows for a in row.keys()})
-    lists = [learn_hero(rows, t) for t in targets]
+        targets = sorted({lit.attribute for lit in model.all_literals()})
+    lists = [learn_hero(model, t) for t in targets]
     groups: dict[frozenset, set] = {}
     first_seen: dict[frozenset, tuple] = {}
     for li, rl in enumerate(lists):

@@ -345,16 +345,17 @@ def learn_model(
     The JSON is what `load_model` reads back.
     """
     target = config.target
-    if config.learner == "pruned_search":
-        search = SearchConfig(
-            max_premise_size=config.max_premise_size,
-            exception_depth=config.exception_depth,
-            target_attributes=(target,),
-        )
-        model = learn_pruned(build_case_model(rows), search)
-        return model, model.to_json()
-    if config.learner == "hero":
-        model = learn_hero(rows, target)
+    if config.learner != "dectree":
+        cases = build_case_model(rows)
+        if config.learner == "hero":
+            model = learn_hero(cases, target)
+        else:
+            search = SearchConfig(
+                max_premise_size=config.max_premise_size,
+                exception_depth=config.exception_depth,
+                target_attributes=(target,),
+            )
+            model = learn_pruned(cases, search)
         return model, model.to_json()
     feature_order = [c for c in columns if c != target]
     params = tune_tree(rows, target, default_grid(), folds=3, feature_order=feature_order, seed=config.seed)

@@ -9,23 +9,22 @@ less specific premise already supports, each is annotated with
 recursively mined exceptions (grown by the same level-wise search), and
 same-premise arguments are merged.
 
-Cases and premises are compacted to integer bitmasks over the model's
-observed literals, which keeps the coherence and validity scans cheap
-even on a few hundred cases.  The definitional checks of ``case_model``
-serve only as a final consistency check on the learned theory.
+All scans run over the bitmask view ``case_model.CaseIndex``.  The
+definitional checks of ``case_model`` serve only as a final consistency
+check on the learned theory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .case_model import (
-    COHERENT,
     CONCLUSIVE,
     PRESUMPTIVELY_VALID,
     Argument,
+    CaseIndex,
     CaseModel,
     Literal,
     argument_from_json,
@@ -83,8 +82,7 @@ class Theory:
         cfg = data.get("config", {})
         ta = cfg.get("target_attributes")
         config = SearchConfig(
-            max_premise_size=cfg.get("max_premise_size", 2),
-            exception_depth=cfg.get("exception_depth", 5),
+            **{k: cfg[k] for k in ("max_premise_size", "exception_depth") if k in cfg},
             target_attributes=tuple(ta) if ta else None,
         )
         return Theory(
@@ -94,75 +92,8 @@ class Theory:
         )
 
 
-class _Index:
-    """Bitmask view of a case model: literals become bit positions."""
-
-    def __init__(self, model: CaseModel):
-        self.literals = model.all_literals()
-        self.bit = {lit: 1 << i for i, lit in enumerate(self.literals)}
-        self.attr_ids: dict[str, int] = {}
-        for lit in self.literals:
-            self.attr_ids.setdefault(lit.attribute, len(self.attr_ids))
-        self.attr_bit = {lit: 1 << self.attr_ids[lit.attribute] for lit in self.literals}
-        # cases ordered by descending weight (model guarantees the order)
-        self.case_masks = [self._mask(c.literals) for c in model.cases]
-        self.case_weights = [c.weight for c in model.cases]
-
-    def _mask(self, lits: Iterable[Literal]) -> int:
-        return sum(self.bit[lit] for lit in lits)
-
-    def mask_of(self, lits: Iterable[Literal]) -> int | None:
-        """Bitmask of a literal set, or None if a literal is unobserved."""
-        m = 0
-        for lit in lits:
-            b = self.bit.get(lit)
-            if b is None:
-                return None
-            m |= b
-        return m
-
-    def literals_of(self, mask: int) -> frozenset[Literal]:
-        return frozenset(lit for lit in self.literals if self.bit[lit] & mask)
-
-    def support_sum(self, mask: int) -> int:
-        """Total weight of the cases containing every literal in the mask."""
-        return sum(
-            w for cm, w in zip(self.case_masks, self.case_weights) if cm & mask == mask
-        )
-
-    def scan(self, pmask: int, cmask: int):
-        """Classify (premise, conclusion) in one pass over the cases.
-
-        Returns (coherent, presumptively_valid, conclusive, support) where
-        support is the weight of the heaviest case containing both sides.
-        Presumptive validity takes the existential reading of weight ties:
-        the conclusion must hold in some heaviest premise case.
-        """
-        full = pmask | cmask
-        top_w = None
-        all_contain = True
-        support = None
-        for cm, w in zip(self.case_masks, self.case_weights):
-            if cm & pmask == pmask:
-                if top_w is None:
-                    top_w = w
-                if cm & full == full:
-                    if support is None:
-                        support = w
-                else:
-                    all_contain = False
-        coherent = support is not None
-        return coherent, coherent and support == top_w, coherent and all_contain, support
-
-
-def _status(pv: bool, conclusive: bool) -> str:
-    if conclusive:
-        return CONCLUSIVE
-    return PRESUMPTIVELY_VALID if pv else COHERENT
-
-
 def _coherent_extensions(
-    index: _Index, concl: Literal, base_mask: int, base_attrs: int, levels: int
+    index: CaseIndex, concl: Literal, base_mask: int, base_attrs: int, levels: int
 ) -> Iterator[tuple[int, bool, bool, int]]:
     """Coherent premises for ``concl`` that extend a base premise.
 
@@ -205,17 +136,14 @@ def _coherent_extensions(
             break
 
 
-def search_arguments(
-    model: CaseModel, config: SearchConfig, include_coherent: bool = False
-) -> list[Argument]:
+def search_arguments(model: CaseModel, config: SearchConfig) -> list[Argument]:
     """The raw (pre-filter) search result, deterministically sorted.
 
-    By default: every presumptively valid argument with a single-literal
-    conclusion and at most ``max_premise_size`` premise literals, marked
-    conclusive where the stronger notion holds.  ``include_coherent``
-    additionally emits the arguments that are merely coherent.
+    Every presumptively valid argument with a single-literal conclusion
+    and at most ``max_premise_size`` premise literals, marked conclusive
+    where the stronger notion holds.
     """
-    index = _Index(model)
+    index = CaseIndex(model)
     conclusions = index.literals
     if config.target_attributes is not None:
         wanted = set(config.target_attributes)
@@ -225,14 +153,13 @@ def search_arguments(
         for pmask, pv, conclusive, support in _coherent_extensions(
             index, concl, 0, 0, config.max_premise_size
         ):
-            status = _status(pv, conclusive)
-            if status == COHERENT and not include_coherent:
+            if not pv:
                 continue
             out.append(
                 Argument(
                     premise=index.literals_of(pmask),
                     conclusion=frozenset([concl]),
-                    status=status,
+                    status=CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID,
                     weight=support,
                 )
             )
@@ -262,7 +189,7 @@ def find_exceptions(
     arg: Argument,
     remaining_depth: int,
     max_premise_size: int | None = None,
-    _index: _Index | None = None,
+    _index: CaseIndex | None = None,
 ) -> list[Argument]:
     """Presumptively valid arguments that overrule ``arg``.
 
@@ -284,7 +211,7 @@ def find_exceptions(
         raise InputError("a conclusive argument admits no exceptions")
     if remaining_depth == 0:
         return []
-    index = _index if _index is not None else _Index(model)
+    index = _index if _index is not None else CaseIndex(model)
     cap = max_premise_size if max_premise_size is not None else len(index.attr_ids)
 
     base_mask = index.mask_of(arg.premise)
@@ -334,7 +261,7 @@ def find_exceptions(
     return out
 
 
-def _attach_exceptions(model: CaseModel, index: _Index, arg: Argument, config: SearchConfig) -> Argument:
+def _attach_exceptions(model: CaseModel, index: CaseIndex, arg: Argument, config: SearchConfig) -> Argument:
     if arg.status == CONCLUSIVE or config.exception_depth == 0:
         return arg
     excs = find_exceptions(
@@ -347,7 +274,7 @@ def _attach_exceptions(model: CaseModel, index: _Index, arg: Argument, config: S
     return replace(arg, exceptions=tuple(excs)) if excs else arg
 
 
-def _merge_same_premise(index: _Index, args: list[Argument]) -> list[Argument]:
+def _merge_same_premise(index: CaseIndex, args: list[Argument]) -> list[Argument]:
     """Merge same-premise arguments into one with the conclusion union.
 
     ``args`` are presumptively valid, with single-literal conclusions, in
@@ -394,7 +321,7 @@ def learn_pruned(model: CaseModel, config: SearchConfig | None = None) -> Theory
         raise InputError("cannot learn from an empty case model")
     if config is None:
         config = SearchConfig()
-    index = _Index(model)
+    index = CaseIndex(model)
     pool = search_arguments(model, config)
     # Top level = arguments with no less specific counterpart; arguments
     # relevant only as exceptions live inside their parents' trees.

@@ -67,7 +67,7 @@ def test_predict_rows_calls_each_predictor_once_per_row(worker):
     rows = [{"x": i % 3, "t": i % 2} for i in range(12)]
     models = {
         "inference.predict_theory": learn_pruned(build_case_model(rows), SearchConfig(target_attributes=("t",))),
-        "inference.predict_rule_list": learn_hero(rows, "t"),
+        "inference.predict_rule_list": learn_hero(build_case_model(rows), "t"),
     }
     tracer = worker.Tracer("contract")
     try:

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from argmine.case_model import Literal, literals
-from argmine.datasets import presumption_rows
+from argmine.case_model import CaseModel, Literal, build_case_model, literals
+from argmine.datasets import presumption_of_innocence
 from argmine.errors import InputError
 from argmine.hero import (
     Rule,
@@ -17,6 +17,8 @@ from argmine.hero import (
     learn_hero_multi,
     max_information_gain,
 )
+
+from conftest import random_case_model
 
 TOL = 1e-9
 
@@ -62,6 +64,24 @@ def brute_force_best_gain(rule_list, rows, target):
                 gain = information_gain(rule_list, candidate, pos, rows, target)
                 best = max(best, gain)
     return best
+
+
+def assert_steps_match_brute_force(trainer, rows, target):
+    """Up to ten greedy steps, each checked against the brute-force best gain."""
+    rules = []
+    for _step in range(10):
+        step = trainer.best_insertion(rules)
+        rl = RuleList(tuple(rules), target=target)
+        brute = brute_force_best_gain(rl, rows, target)
+        if step is None:
+            assert brute <= TOL
+            break
+        gain, new_rule, pos = step
+        assert abs(gain - brute) < TOL, (rows, rules, gain, brute)
+        # cross-check the fast path against the direct computation
+        direct = information_gain(rl, new_rule, pos, rows, target)
+        assert abs(gain - direct) < TOL
+        rules.insert(pos, new_rule)
 
 
 class TestInformationGain:
@@ -111,8 +131,7 @@ class TestMaxInformationGain:
 
 class TestLearnHero:
     def test_legal_example_reproduced(self):
-        rows = presumption_rows()
-        innocent = learn_hero(rows, "innocent")
+        innocent = learn_hero(presumption_of_innocence(), "innocent")
         assert [
             ({"evidence": True}, {"innocent": False}),
             ({}, {"innocent": True}),
@@ -125,7 +144,7 @@ class TestLearnHero:
         ]
 
     def test_legal_example_merged_lists(self):
-        merged = learn_hero_multi(presumption_rows())
+        merged = learn_hero_multi(presumption_of_innocence())
         assert len(merged.rules) == 2
         first, default = merged.rules
         assert first.premise == literals({"evidence": True})
@@ -137,14 +156,14 @@ class TestLearnHero:
 
     def test_constant_target_single_default(self):
         rows = [{"a": i % 3, "d": 7} for i in range(9)]
-        rl = learn_hero(rows, "d")
+        rl = learn_hero(build_case_model(rows), "d")
         assert len(rl.rules) == 1
         assert not rl.rules[0].premise
         assert all(rl.first_match(r) == 7 for r in rows)
 
     def test_three_seven_dataset(self):
         rows = three_seven_rows()
-        rl = learn_hero(rows, "d")
+        rl = learn_hero(build_case_model(rows), "d")
         assert all(rl.first_match(r) == r["d"] for r in rows)
         # the default for the majority class is learned first, then the
         # minority rule lands above it
@@ -152,7 +171,7 @@ class TestLearnHero:
 
     def test_empty_rows_rejected(self):
         with pytest.raises(InputError):
-            learn_hero([], "d")
+            learn_hero(CaseModel(()), "d")
 
     def test_monotone_training_accuracy(self, rng):
         for _ in range(30):
@@ -160,7 +179,7 @@ class TestLearnHero:
                 {"a": rng.randint(0, 1), "b": rng.randint(0, 1), "d": rng.randint(0, 1)}
                 for _ in range(rng.randint(2, 12))
             ]
-            trainer = _Trainer(rows, "d")
+            trainer = _Trainer(build_case_model(rows), "d")
             rules = []
             accs = [_accuracy(rules, rows, "d")]
             while True:
@@ -184,21 +203,21 @@ class TestLearnHero:
                 }
                 for _ in range(rng.randint(2, 12))
             ]
-            trainer = _Trainer(rows, "d")
-            rules = []
-            for _step in range(10):
-                step = trainer.best_insertion(rules)
-                rl = RuleList(tuple(rules), target="d")
-                brute = brute_force_best_gain(rl, rows, "d")
-                if step is None:
-                    assert brute <= TOL
-                    break
-                gain, new_rule, pos = step
-                assert abs(gain - brute) < TOL, (rows, rules, gain, brute)
-                # cross-check the fast path against the direct computation
-                direct = information_gain(rl, new_rule, pos, rows, "d")
-                assert abs(gain - direct) < TOL
-                rules.insert(pos, new_rule)
+            assert_steps_match_brute_force(_Trainer(build_case_model(rows), "d"), rows, "d")
+
+    def test_greedy_step_on_partial_cases_matches_brute_force(self, rng):
+        # cases may leave attributes out; the rows are the weight-expanded
+        # cases that assign the target
+        for _ in range(30):
+            model = random_case_model(rng)
+            for target in model.attributes:
+                rows = [
+                    {lit.attribute: lit.value for lit in case.literals}
+                    for case in model.cases
+                    if any(lit.attribute == target for lit in case.literals)
+                    for _ in range(case.weight)
+                ]
+                assert_steps_match_brute_force(_Trainer(model, target), rows, target)
 
     def test_pruning_bound_is_sound(self, rng):
         # the oracle gain of a premise bounds every specialization's gain
@@ -236,6 +255,6 @@ class TestRuleList:
         assert rl.first_match({}) == 0  # default fires
 
     def test_json_roundtrip(self):
-        rl = learn_hero(three_seven_rows(), "d")
+        rl = learn_hero(build_case_model(three_seven_rows()), "d")
         restored = RuleList.from_json(json.loads(json.dumps(rl.to_json())))
         assert restored == rl

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from argmine.case_model import Argument, literal_set_key, literals
-from argmine.datasets import presumption_of_innocence, presumption_rows
+from argmine.datasets import presumption_of_innocence
 from argmine.errors import InputError
 from argmine.hero import Rule, RuleList, learn_hero_multi
 from argmine.inference import (
@@ -184,7 +184,7 @@ def test_survives_reports_defeat_and_reinstatement():
 
 class TestPredictRuleList:
     def test_legal_list_examples(self):
-        merged = learn_hero_multi(presumption_rows())
+        merged = learn_hero_multi(presumption_of_innocence())
         assert predict_rule_list(merged, {"evidence": True}, "innocent") is False
         assert predict_rule_list(merged, {}, "innocent") is True
 
@@ -270,7 +270,7 @@ class TestGroundedExtension:
 
 class TestDetectSelfAttack:
     def test_hero_legal_output_flagged(self):
-        merged = learn_hero_multi(presumption_rows())
+        merged = learn_hero_multi(presumption_of_innocence())
         offenders = detect_self_attack(merged)
         assert offenders
         assert any(len(chain) == 1 and chain[0].is_composite for chain in offenders)

@@ -8,7 +8,15 @@ import pytest
 
 from argmine import cli, datasets, discretize, pipeline
 from argmine.errors import InputError, InvariantError
-from argmine.pipeline import ExperimentConfig, Table, fit_schemes, load_csv, run_experiment
+from argmine.pipeline import (
+    ExperimentConfig,
+    Table,
+    apply_schemes,
+    fit_schemes,
+    learn_model,
+    load_csv,
+    run_experiment,
+)
 from argmine.pruned_search import SearchConfig, learn_pruned
 
 COLUMNS = ["x1", "x2", "flag", "t"]
@@ -160,6 +168,35 @@ def test_learn_on_a_case_model(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("learner", ["pruned_search", "hero"])
+def test_predict_rules_on_csv_missing_a_feature(tmp_path, data_csv, capsys, learner):
+    result = run_experiment(config_for(data_csv, learner))
+    narrow_csv = write_csv(tmp_path / "narrow.csv", synthetic_rows(), ["x2", "flag", "t"])
+    code, _ = cli_predict(tmp_path, result, narrow_csv)
+    assert code == 1
+    assert "['x1']" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def boston_training_rows():
+    """The discretized Boston training split, cut to nine features to keep HeRO quick."""
+    columns = ["CRIM", "INDUS", "NOX", "RM", "AGE", "DIS", "TAX", "PTRATIO", "LSTAT", "MEDV"]
+    train, _ = pipeline.split(load_csv(datasets.boston_housing_path()), 0.8, seed=0)
+    train = Table(columns, [{c: row[c] for c in columns} for row in train.rows])
+    return columns, apply_schemes(train, fit_schemes(train, "equal-width", 2, "MEDV"))
+
+
+@pytest.mark.parametrize("learner", ["pruned_search", "hero"])
+def test_training_row_order_does_not_change_the_model(boston_training_rows, learner):
+    # both rule learners see the rows only through the case model they group into
+    columns, rows = boston_training_rows
+    config = ExperimentConfig(target="MEDV", learner=learner)
+    shuffled = random.Random(3).sample(rows, len(rows))
+    assert shuffled != rows
+    expected = json.dumps(learn_model(config, rows, columns)[1])
+    assert json.dumps(learn_model(config, shuffled, columns)[1]) == expected
+
+
 def _tree_nodes(node):
     yield node
     for child in ("left", "right"):
@@ -197,6 +234,8 @@ BAD_INPUTS = [
     "scheme without method", "argument without conclusion", "unknown config key",
     "config value of wrong type", "missing predictions", "exception outside its parent",
     "fractional case weight", "boolean case weight", "string case weight", "case that is not an object",
+    "zero max premise size on a case model", "unknown target of pruned_search on a case model",
+    "unknown target of hero on a case model", "empty case model",
 ]
 
 
@@ -247,6 +286,17 @@ def test_bad_input_files_exit_one(tmp_path, data_csv, capsys, case):
     elif case == "case that is not an object":
         named = write_json(tmp_path / "cases.json", {"cases": [1]})
         argv = ["learn", "--input", named, "--learner", "hero"]
+    elif case == "zero max premise size on a case model":
+        argv = ["learn", "--input", datasets.presumption_of_innocence_path(), "--learner", "pruned_search",
+                "--max-premise-size", "0"]
+        named = "max_premise_size must be >= 1, got 0"
+    elif case.startswith("unknown target"):
+        argv = ["learn", "--input", datasets.presumption_of_innocence_path(), "--learner", case.split()[3],
+                "--target", "nosuch"]
+        named = "no case assigns the target 'nosuch'"
+    elif case == "empty case model":
+        argv = ["learn", "--input", write_json(tmp_path / "cases.json", {"cases": []}), "--learner", "pruned_search"]
+        named = "cannot learn from an empty case model"
     else:
         config = {"dataset_path": data_csv, "target": "t", "max_premise": 9}
         argv, named = ["experiment", "--config", write_json(tmp_path / "c.json", config), "--quiet"], "'max_premise'"

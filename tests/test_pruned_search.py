@@ -5,10 +5,12 @@ import random
 import pytest
 
 from argmine.case_model import (
+    COHERENT,
     CONCLUSIVE,
     PRESUMPTIVELY_VALID,
     Argument,
     Case,
+    CaseIndex,
     CaseModel,
     Literal,
     argument_support,
@@ -23,6 +25,7 @@ from argmine.errors import InputError
 from argmine.pruned_search import (
     SearchConfig,
     Theory,
+    _coherent_extensions,
     find_exceptions,
     learn_pruned,
     search_arguments,
@@ -45,13 +48,21 @@ def oracle_presumptively_valid(model):
     }
 
 
+def coherent_arguments(model, max_premise_size):
+    """Status of every coherent (premise, conclusion) pair the level-wise search reaches."""
+    index = CaseIndex(model)
+    out = {}
+    for concl in index.literals:
+        for pmask, pv, conclusive, _ in _coherent_extensions(index, concl, 0, 0, max_premise_size):
+            status = CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID if pv else COHERENT
+            out[(index.literals_of(pmask), frozenset([concl]))] = status
+    return out
+
+
 class TestSearchOnLegalModel:
     def setup_method(self):
         self.model = presumption_of_innocence()
-        self.pre = search_arguments(
-            self.model, SearchConfig(max_premise_size=3), include_coherent=True
-        )
-        self.keyed = {(a.premise, a.conclusion): a.status for a in self.pre}
+        self.keyed = coherent_arguments(self.model, 3)
 
     def test_coherent_examples_present(self):
         assert self.keyed[(literals({}), literals({"guilty": True}))] == "coherent"
@@ -117,15 +128,10 @@ class TestOracleEquivalence:
 
     def test_pruned_premises_could_not_be_coherent(self, rng):
         # everything the level-wise search skips fails coherence: verify by
-        # checking that coherent arguments all appear when statuses are
-        # included
+        # checking that every coherent argument is reached
         for _ in range(30):
             model = random_case_model(rng)
-            config = SearchConfig(max_premise_size=len(model.attributes))
-            got = {
-                (a.premise, a.conclusion)
-                for a in search_arguments(model, config, include_coherent=True)
-            }
+            got = set(coherent_arguments(model, len(model.attributes)))
             expected = {
                 (a.premise, a.conclusion)
                 for a in all_arguments(model)
