@@ -3,7 +3,10 @@
 Four methods are provided: equal-width, equal-depth, exact 1-D k-means
 (dynamic programming over the sorted values) and 1-D DBSCAN.
 `optimize_scheme` is the one search over them: it scores every
-caller-supplied (method, parameters) candidate by its silhouette.
+caller-supplied (method, parameters) candidate by its silhouette.  The
+silhouette sorts the values once and costs O(n log n); its ``b`` is the
+distance to the nearest value outside the sample's cluster, not
+Rousseeuw's mean distance to the nearest other cluster.
 
 Every scheme is a sorted list of interior cut points; bin ``i`` is the
 half-open interval between cut ``i-1`` and cut ``i``, with the outer bins
@@ -27,6 +30,7 @@ from .errors import (
 )
 
 METHODS = ("equal-width", "equal-depth", "kmeans", "dbscan")
+_DP_BLOCK = 32  # end indices per vectorized step of the k-means recurrence
 
 
 @dataclass(frozen=True)
@@ -191,7 +195,8 @@ def _optimal_boundaries(vals: np.ndarray, k: int) -> tuple[float, ...]:
 
     One-dimensional optima are contiguous in sorted order, so the weighted
     sum-of-squares cost of every interval of distinct values comes from
-    prefix sums and the optimal cuts from an O(G^2 k) recurrence.
+    prefix sums and the optimal cuts from an O(G^2 k) recurrence, run on
+    blocks of end indices with the per-index arithmetic and first minimum.
     """
     distinct, weights = np.unique(vals, return_counts=True)
     g = distinct.size
@@ -200,24 +205,25 @@ def _optimal_boundaries(vals: np.ndarray, k: int) -> tuple[float, ...]:
     cs = np.concatenate([[0.0], np.cumsum(w * distinct)])
     cq = np.concatenate([[0.0], np.cumsum(w * distinct**2)])
 
-    def seg_cost(i: np.ndarray, j: int) -> np.ndarray:
-        # cost of grouping distinct[i..j] (inclusive), vectorized over i
+    def seg_cost(i, j):
+        # cost of grouping distinct[i..j] (inclusive), broadcast over i and j
         tw = cw[j + 1] - cw[i]
         ts = cs[j + 1] - cs[i]
         tq = cq[j + 1] - cq[i]
         return tq - ts * ts / tw
 
-    prev = np.array([seg_cost(np.array([0]), j)[0] for j in range(g)])
+    prev = seg_cost(0, np.arange(g))
     cuts = np.zeros((k, g), dtype=int)
     for m in range(1, k):
-        cur = np.empty(g)
-        cur[:m] = np.inf
-        for j in range(m, g):
-            i = np.arange(m, j + 1)  # first index of the last segment
-            totals = prev[i - 1] + seg_cost(i, j)
-            pos = int(np.argmin(totals))
-            cur[j] = totals[pos]
-            cuts[m, j] = i[pos]
+        cur = np.full(g, np.inf)
+        for start in range(m, g, _DP_BLOCK):
+            j = np.arange(start, min(start + _DP_BLOCK, g))
+            i = np.arange(m, j[-1] + 1)[:, None]  # first index of the last segment
+            with np.errstate(divide="ignore", invalid="ignore"):  # masked i > j
+                totals = np.where(i <= j, prev[i - 1] + seg_cost(i, j), np.inf)
+            pos = np.argmin(totals, axis=0)
+            cur[j] = totals[pos, np.arange(j.size)]
+            cuts[m, j] = m + pos
         prev = cur
     edges = []
     j = g - 1
@@ -305,40 +311,49 @@ def dbscan_1d(
 
 
 def silhouette(values: Sequence[float], labels: Sequence[Any]) -> float:
-    """Mean silhouette coefficient of a 1-D clustering.
+    """Mean silhouette coefficient of a 1-D clustering under any labels.
 
     For each sample, ``a`` is its mean distance to the rest of its own
-    cluster and ``b`` the smallest distance to any instance outside the
-    cluster; the coefficient is (b - a) / max(a, b), or 0 for singleton
-    clusters and for max(a, b) == 0.
+    cluster and ``b`` the distance to the nearest value outside the
+    cluster (not Rousseeuw's mean distance to the nearest other cluster);
+    the coefficient is (b - a) / max(a, b), or 0 for singleton clusters
+    and for max(a, b) == 0.  One sort makes it O(n log n): ``a`` comes
+    from prefix sums over each cluster's sorted values, shifted by the
+    cluster minimum; ``b`` is the gap to the end of the adjacent run of
+    another label in the sorted order.
     """
     vals = _check_values(values)
     if len(labels) != len(vals):
         raise InputError(f"{len(vals)} values but {len(labels)} labels")
-    groups: dict[Any, list[int]] = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(i)
-    if len(groups) < 2:
-        raise UndefinedScoreError(f"silhouette undefined for {len(groups)} cluster(s)")
+    codes: dict[Any, int] = {}
+    lab = np.array([codes.setdefault(label, len(codes)) for label in labels])
+    if len(codes) < 2:
+        raise UndefinedScoreError(f"silhouette undefined for {len(codes)} cluster(s)")
+    x = np.asarray(vals)
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs, ls = x[order], lab[order]
 
-    total = 0.0
-    for i, v in enumerate(vals):
-        own = groups[labels[i]]
-        if len(own) == 1:
-            a = 0.0
-            coeff_override = 0.0
-        else:
-            a = sum(abs(v - vals[j]) for j in own if j != i) / (len(own) - 1)
-            coeff_override = None
-        b = min(abs(v - vals[j]) for j in range(len(vals)) if labels[j] != labels[i])
-        if coeff_override is not None:
-            coeff = coeff_override
-        elif max(a, b) > 0:
-            coeff = (b - a) / max(a, b)
-        else:
-            coeff = 0.0
-        total += coeff
-    return total / len(vals)
+    a = np.zeros(n)
+    by_cluster = order[np.argsort(ls, kind="stable")]  # each cluster in value order
+    for idx in np.split(by_cluster, np.flatnonzero(np.diff(lab[by_cluster])) + 1):
+        if idx.size > 1:
+            y = x[idx] - x[idx[0]]
+            c = np.cumsum(y)
+            r = np.arange(idx.size)  # rank within the cluster
+            a[idx] = ((r * y - (c - y)) + ((c[-1] - c) - (idx.size - 1 - r) * y)) / (idx.size - 1)
+
+    new_run = ls[1:] != ls[:-1]  # sorted positions p and p + 1 differ in label
+    left = np.maximum.accumulate(np.concatenate(([-1], np.where(new_run, np.arange(n - 1), -1))))
+    right = np.minimum.accumulate(np.append(np.where(new_run, np.arange(1, n), n), n)[::-1])[::-1]
+    padded = np.concatenate(([-np.inf], xs, [np.inf]))  # left -1, right n: no such value
+    b = np.empty(n)
+    b[order] = np.minimum(xs - padded[left + 1], padded[right + 1] - xs)
+
+    top = np.maximum(a, b)
+    with np.errstate(invalid="ignore"):  # 0/0 where a == b == 0
+        coeff = np.where((np.bincount(lab)[lab] > 1) & (top > 0), (b - a) / top, 0.0)
+    return sum(coeff.tolist()) / n
 
 
 def _build(method: str, values: Sequence[float], params: DiscretizationParams, attribute: str) -> BinningScheme:

@@ -27,6 +27,7 @@ from .case_model import (
     is_consistent,
     literal_set_key,
     literals,
+    literals_to_mapping,
     value_key,
 )
 from .errors import InputError
@@ -73,8 +74,8 @@ class RuleList:
             "target": self.target,
             "rules": [
                 {
-                    "premise": {c.attribute: c.value for c in r.premise},
-                    "conclusion": {c.attribute: c.value for c in r.conclusion},
+                    "premise": literals_to_mapping(r.premise),
+                    "conclusion": literals_to_mapping(r.conclusion),
                 }
                 for r in self.rules
             ],

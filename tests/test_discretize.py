@@ -1,11 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from argmine import datasets, discretize, pipeline
 from argmine.discretize import (
     BinningScheme,
     DiscretizationParams,
+    _optimal_boundaries,
     apply_scheme,
     dbscan_1d,
     equal_depth_bins,
@@ -22,6 +25,75 @@ from argmine.errors import (
 )
 
 TOL = 1e-9
+
+
+def silhouette_oracle(values, labels):
+    """The O(n^2) definition that `silhouette` computes by sorting."""
+    vals = discretize._check_values(values)
+    if len(labels) != len(vals):
+        raise InputError(f"{len(vals)} values but {len(labels)} labels")
+    groups = {}
+    for i, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(i)
+    if len(groups) < 2:
+        raise UndefinedScoreError(f"silhouette undefined for {len(groups)} cluster(s)")
+
+    total = 0.0
+    for i, v in enumerate(vals):
+        own = groups[labels[i]]
+        if len(own) == 1:
+            a = 0.0
+            coeff_override = 0.0
+        else:
+            a = sum(abs(v - vals[j]) for j in own if j != i) / (len(own) - 1)
+            coeff_override = None
+        b = min(abs(v - vals[j]) for j in range(len(vals)) if labels[j] != labels[i])
+        if coeff_override is not None:
+            coeff = coeff_override
+        elif max(a, b) > 0:
+            coeff = (b - a) / max(a, b)
+        else:
+            coeff = 0.0
+        total += coeff
+    return total / len(vals)
+
+
+def optimal_boundaries_oracle(vals, k):
+    """The k-means recurrence one end index ``j`` at a time."""
+    distinct, weights = np.unique(vals, return_counts=True)
+    g = distinct.size
+    w = weights.astype(float)
+    cw = np.concatenate([[0.0], np.cumsum(w)])
+    cs = np.concatenate([[0.0], np.cumsum(w * distinct)])
+    cq = np.concatenate([[0.0], np.cumsum(w * distinct**2)])
+
+    def seg_cost(i: np.ndarray, j: int) -> np.ndarray:
+        # cost of grouping distinct[i..j] (inclusive), vectorized over i
+        tw = cw[j + 1] - cw[i]
+        ts = cs[j + 1] - cs[i]
+        tq = cq[j + 1] - cq[i]
+        return tq - ts * ts / tw
+
+    prev = np.array([seg_cost(np.array([0]), j)[0] for j in range(g)])
+    cuts = np.zeros((k, g), dtype=int)
+    for m in range(1, k):
+        cur = np.empty(g)
+        cur[:m] = np.inf
+        for j in range(m, g):
+            i = np.arange(m, j + 1)  # first index of the last segment
+            totals = prev[i - 1] + seg_cost(i, j)
+            pos = int(np.argmin(totals))
+            cur[j] = totals[pos]
+            cuts[m, j] = i[pos]
+        prev = cur
+    edges = []
+    j = g - 1
+    for m in range(k - 1, 0, -1):
+        i = cuts[m, j]
+        edges.append(i)
+        j = i - 1
+    edges.reverse()
+    return tuple((distinct[i - 1] + distinct[i]) / 2.0 for i in edges)
 
 
 def labels_of(scheme, values):
@@ -168,6 +240,22 @@ class TestKMeans:
             best = brute_force_wss(vals, k)
             assert got <= best * (1 + 1e-9) + 1e-12, (vals, k, got, best)
 
+    @pytest.mark.parametrize("g", [2, 5, 31, 32, 33, 64, 97])
+    def test_blocked_recurrence_gives_the_oracle_cuts(self, g):
+        # below, at and over one block of end indices; equally spaced
+        # values of equal weight tie exactly (three values cut two ways at
+        # k=2), so the first-minimum rule is exercised
+        rng = random.Random(g)
+        inputs = [np.arange(g, dtype=float), np.arange(g, dtype=float) / 4]
+        for _ in range(6):
+            distinct = rng.sample(range(4 * g), g)
+            scale = rng.choice([1.0, 0.5, 0.1, 37.0])
+            vals = [v * scale for v in distinct for _ in range(rng.randint(1, 3))]
+            inputs.append(np.sort(np.asarray(vals)))
+        for vals in inputs:
+            for k in range(2, min(g, 6) + 1):
+                assert _optimal_boundaries(vals, k) == optimal_boundaries_oracle(vals, k), (vals, k)
+
 
 class TestDBSCAN:
     def test_two_dense_regions(self):
@@ -226,6 +314,32 @@ class TestSilhouette:
             swapped = ["B" if l == "A" else "A" for l in labels]
             assert abs(s1 - silhouette(vals, swapped)) < TOL
 
+    def test_matches_the_oracle(self):
+        rng = random.Random(23)
+        for _ in range(600):
+            n = rng.randint(0, 30)
+            kind = rng.choice(["spread", "ties", "constant"])
+            if kind == "spread":
+                vals = [rng.uniform(-100, 100) for _ in range(n)]
+            elif kind == "ties":  # equal values under different labels
+                vals = [rng.choice([0.5, 1.5, 2.0, 7.25]) for _ in range(n)]
+            else:
+                vals = [3.0] * n
+            # labels of mixed types, in no value order: clusters interleave
+            pool = ["A", "B", 2, (1, 2), 0.5][: rng.randint(1, 5)]
+            labels = [rng.choice(pool) for _ in range(n)]
+            if n and rng.random() < 0.2:  # a singleton cluster
+                labels[rng.randrange(n)] = "solo"
+            if rng.random() < 0.05:
+                labels = labels[:-1]
+            try:
+                expected = silhouette_oracle(vals, labels)
+            except InputError as exc:
+                with pytest.raises(type(exc)):
+                    silhouette(vals, labels)
+                continue
+            assert abs(silhouette(vals, labels) - expected) <= 1e-12, (vals, labels)
+
 
 class TestOptimize:
     def test_k_two_beats_k_three(self):
@@ -263,6 +377,26 @@ class TestOptimize:
         space = [("kmeans", DiscretizationParams(k=2)), ("equal-width", DiscretizationParams(k=2))]
         assert optimize_scheme(values, space).method == "kmeans"
         assert optimize_scheme(values, space[::-1]).method == "equal-width"
+
+
+def test_the_oracle_silhouette_selects_the_same_boston_schemes(monkeypatch):
+    # a near-tie between candidate scores could flip under the sorted
+    # silhouette's rounding; on the Boston columns it flips none
+    columns = ["CRIM", "RM", "LSTAT", "MEDV"]
+    train, _ = pipeline.split(pipeline.load_csv(datasets.boston_housing_path()), 0.8, seed=0)
+    train = pipeline.Table(columns, [{c: row[c] for c in columns} for row in train.rows])
+    fitted = {b: pipeline.fit_schemes(train, b, 3, "MEDV") for b in pipeline.BINNINGS}
+    scores = {}  # `opt` scores the other binnings' candidates again; score each once
+
+    def memo_oracle(values, labels):
+        key = (tuple(values), tuple(labels))
+        if key not in scores:
+            scores[key] = silhouette_oracle(values, labels)
+        return scores[key]
+
+    monkeypatch.setattr(discretize, "silhouette", memo_oracle)
+    for binning in pipeline.BINNINGS:
+        assert pipeline.fit_schemes(train, binning, 3, "MEDV") == fitted[binning], binning
 
 
 class TestApplyScheme:

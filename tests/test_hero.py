@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import argmine
 from argmine.case_model import CaseModel, Literal, build_case_model, literals
 from argmine.datasets import presumption_of_innocence
 from argmine.errors import InputError
@@ -258,3 +263,24 @@ class TestRuleList:
         rl = learn_hero(build_case_model(three_seven_rows()), "d")
         restored = RuleList.from_json(json.loads(json.dumps(rl.to_json())))
         assert restored == rl
+
+    def test_json_key_order_does_not_follow_the_string_hash_seed(self):
+        # premises are frozensets, whose order follows PYTHONHASHSEED; the
+        # mappings are written in literal order, as argument_to_json writes them
+        script = (
+            "import json\n"
+            "from argmine.case_model import literals\n"
+            "from argmine.hero import Rule, RuleList\n"
+            "premise = {'alpha': 1, 'beta': 2, 'gamma': 'x', 'delta': 0, 'eps': 3}\n"
+            "rl = RuleList((Rule(literals(premise), literals({'d': 1, 'e': 0})),"
+            " Rule(frozenset(), literals({'d': 0}))), target='d')\n"
+            "print(json.dumps(rl.to_json()))\n"
+        )
+        src = str(Path(argmine.__file__).resolve().parents[1])
+        outputs = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True, timeout=60)
+            outputs.add(done.stdout)
+        assert len(outputs) == 1, outputs

@@ -1,6 +1,7 @@
 """End-to-end tests of the experiment pipeline and the command line."""
 
 import csv
+import dataclasses
 import json
 import random
 
@@ -383,3 +384,37 @@ def test_opt_scheme_matches_the_two_level_search():
         # as the target, even a binary column goes through the search
         got = fit_schemes(Table(["x"], [{"x": v} for v in values]), "opt", "opt", "x")["x"]
         assert got == two_level_opt(values), values
+
+
+def test_test_rows_change_no_scheme_and_no_model(tmp_path):
+    # no leakage: only the training partition reaches discretization and learning
+    table = load_csv(datasets.boston_housing_path())
+    _, test = pipeline.split(table, 0.8, seed=0)
+    held_out = {id(row) for row in test.rows}
+    perturbed = [
+        {c: v * 3 + 1 if id(row) in held_out else v for c, v in row.items()} for row in table.rows
+    ]
+    config = ExperimentConfig(target="MEDV", learner="pruned_search", binning="opt", bins="opt",
+                              max_premise_size=2, split_fraction=0.8, seed=0)
+    original = run_experiment(config)
+    shifted = run_experiment(dataclasses.replace(
+        config, dataset_path=write_csv(tmp_path / "perturbed.csv", perturbed, table.columns)))
+    assert shifted.schemes == original.schemes
+    assert shifted.model_json == original.model_json
+    assert shifted.test_report != original.test_report  # the perturbation reached the test rows
+
+
+@pytest.mark.parametrize("binning", pipeline.BINNINGS)
+def test_affine_rescale_changes_no_training_bin_label(binning):
+    columns = ["CRIM", "RM", "MEDV"]
+    train, _ = pipeline.split(load_csv(datasets.boston_housing_path()), 0.8, seed=0)
+    train = Table(columns, [{c: row[c] for c in columns} for row in train.rows])
+    rescaled = Table(columns, [
+        dict(row, CRIM=row["CRIM"] * 10 + 3, RM=row["RM"] * 0.5 - 2) for row in train.rows
+    ])
+
+    def labels(table):
+        rows = apply_schemes(table, fit_schemes(table, binning, 3, "MEDV"))
+        return [(row["CRIM"], row["RM"]) for row in rows]
+
+    assert labels(rescaled) == labels(train)
