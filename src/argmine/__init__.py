@@ -13,8 +13,6 @@ from .case_model import (
     CaseModel,
     Literal,
     build_case_model,
-    is_coherent,
-    is_conclusive,
     is_presumptively_valid,
     literals,
 )
@@ -30,7 +28,7 @@ from .discretize import (
     optimize_scheme,
     silhouette,
 )
-from .hero import Rule, RuleList, information_gain, learn_hero, learn_hero_multi, max_information_gain
+from .hero import Rule, RuleList, learn_hero, learn_hero_multi
 from .inference import (
     EvalReport,
     detect_self_attack,

@@ -11,6 +11,9 @@ An argument is *coherent* if premise and conclusion hold together in some
 case, *presumptively valid* if the conclusion holds in a maximally
 preferred case satisfying the premise, and *conclusive* if it is coherent
 and the conclusion holds in every case satisfying the premise.
+``CaseIndex.scan`` decides all three in one pass over the cases;
+``is_presumptively_valid`` spells out its definition, against which
+``learn_pruned`` rechecks its result.
 """
 
 from __future__ import annotations
@@ -210,8 +213,8 @@ class CaseIndex:
 
     Cases and premises are compacted to integer bitmasks over the model's
     observed literals, which keeps the coherence and validity scans of the
-    pruned search and the row matching of HeRO cheap even on a few
-    hundred cases.
+    pruned search cheap even on a few hundred cases.  The literal order
+    here is the one both rule learners enumerate premises in.
     """
 
     def __init__(self, model: CaseModel):
@@ -276,12 +279,6 @@ def _premise_cases(model: CaseModel, premise: frozenset[Literal]) -> list[Case]:
     return [c for c in model.cases if c.contains(premise)]
 
 
-def is_coherent(model: CaseModel, arg: Argument) -> bool:
-    """True iff some case contains premise and conclusion together."""
-    both = arg.premise | arg.conclusion
-    return any(c.contains(both) for c in model.cases)
-
-
 def is_presumptively_valid(model: CaseModel, arg: Argument) -> bool:
     """True iff the conclusion holds in a maximally preferred premise case.
 
@@ -295,24 +292,6 @@ def is_presumptively_valid(model: CaseModel, arg: Argument) -> bool:
     tier = [c for c in matching if c.weight == top]
     both = arg.premise | arg.conclusion
     return any(c.contains(both) for c in tier)
-
-
-def is_conclusive(model: CaseModel, arg: Argument) -> bool:
-    """True iff coherent and the conclusion holds in every premise case."""
-    matching = _premise_cases(model, arg.premise)
-    if not matching:
-        return False
-    both = arg.premise | arg.conclusion
-    return all(c.contains(both) for c in matching)
-
-
-def argument_support(model: CaseModel, arg: Argument) -> int | None:
-    """Weight of the heaviest case containing premise and conclusion."""
-    both = arg.premise | arg.conclusion
-    for case in model.cases:  # descending weight
-        if case.contains(both):
-            return case.weight
-    return None
 
 
 # --- JSON interchange -------------------------------------------------------

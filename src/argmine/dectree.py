@@ -80,11 +80,6 @@ class TreeNode:
             raise InputError(f"instance lacks the feature {node.feature!r} the tree splits on") from None
         return node.prediction
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
     def to_json(self) -> dict:
         if self.is_leaf:
             return {"class_counts": [[v, c] for v, c in self.class_counts],

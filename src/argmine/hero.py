@@ -10,7 +10,10 @@ its specializations.
 
 HeRO learns from the same weighted case model as the pruned search: each
 case that assigns the target is one training row, counted with the
-case's weight, and premises match rows through the ``CaseIndex`` masks.
+case's weight.  The trainer expands every row to ``weight`` bits of one
+Python int, so the rows a premise matches are the AND of its literals'
+row bitsets and every weighted count in the greedy step is a popcount.
+Gains are compared as integer numerators over the total weight.
 """
 
 from __future__ import annotations
@@ -99,82 +102,36 @@ def _first_match(rules: Sequence[Rule], instance: Mapping[str, Any], target: str
     return None
 
 
-def _accuracy(rules: Sequence[Rule], rows: Sequence[Mapping[str, Any]], target: str) -> float:
-    """Fraction of rows whose first-match prediction equals the target value."""
-    if not rows:
-        raise InputError("accuracy over zero rows is undefined")
-    correct = sum(1 for row in rows if _first_match(rules, row, target) == row[target])
-    return correct / len(rows)
-
-
-def information_gain(
-    rule_list: RuleList,
-    candidate: Rule,
-    position: int,
-    rows: Sequence[Mapping[str, Any]],
-    target: str | None = None,
-) -> float:
-    """Accuracy change from inserting the candidate at the given position.
-
-    The insertion is hypothetical, so positions that would leave a default
-    above later rules (shadowing them) are evaluated as-is rather than
-    rejected.
-    """
-    target = target if target is not None else rule_list.target
-    if position < 0 or position > len(rule_list.rules):
-        raise InputError(f"position {position} out of range")
-    before = _accuracy(rule_list.rules, rows, target)
-    inserted = rule_list.rules[:position] + (candidate,) + rule_list.rules[position:]
-    after = _accuracy(inserted, rows, target)
-    return after - before
-
-
-def max_information_gain(
-    candidate: Rule,
-    rule_list: RuleList,
-    rows: Sequence[Mapping[str, Any]],
-    target: str | None = None,
-) -> float:
-    """Upper bound on the gain of any rule with a more specific premise.
-
-    Equals the gain of a hypothetical rule at the best position that
-    predicts every premise-matching row correctly: the currently
-    misclassified matching rows over all rows.
-    """
-    target = target if target is not None else rule_list.target
-    if not rows:
-        raise InputError("max information gain over zero rows is undefined")
-    fixable = sum(
-        1
-        for row in rows
-        if candidate.applies(row) and rule_list.first_match(row, target) != row[target]
-    )
-    return fixable / len(rows)
-
-
 class _Trainer:
     """The cases that assign the target, plus the greedy step with gain pruning.
 
-    A row is such a case: its ``CaseIndex`` mask, target value and weight.
-    Each premise's matching-row list shrinks as the premise specializes,
-    so child evaluations touch only the parent's matches.
+    A row is such a case, expanded to a run of ``weight`` bits of one
+    Python int, so a set of rows is an int and its weighted count is its
+    popcount.  Each literal and each target value has its row bitset;
+    a premise's matching rows are the AND of its literals' bitsets.
     """
 
     def __init__(self, model: CaseModel, target: str):
         self.target = target
         self.index = CaseIndex(model)
-        rows = [
-            (mask, lit.value, weight)
-            for case, mask, weight in zip(model.cases, self.index.case_masks, self.index.case_weights)
-            if (lit := claim(case.literals, target)) is not None
-        ]
-        if not rows:
+        self._rows_of = {lit: 0 for lit in self.index.literals}
+        self._value_rows: dict[Any, int] = {}
+        self.total = 0
+        for case in model.cases:
+            lit = claim(case.literals, target)
+            if lit is None:
+                continue
+            bits = ((1 << case.weight) - 1) << self.total
+            self.total += case.weight
+            for case_lit in case.literals:
+                self._rows_of[case_lit] |= bits
+            self._value_rows[lit.value] = self._value_rows.get(lit.value, 0) | bits
+        if not self.total:
             raise InputError(f"no case assigns the target attribute {target!r}")
-        self._row_masks, self._row_targets, self._row_weights = zip(*rows)
-        self.total = sum(self._row_weights)
-        self.values = sorted(set(self._row_targets), key=value_key)
-        self._target_attr_bit = self.index.attr_bit[Literal(target, self._row_targets[0])]
-        self._lit_bits = [(self.index.bit[lit], self.index.attr_bit[lit]) for lit in self.index.literals]
+        self._all_rows = (1 << self.total) - 1
+        self.values = sorted(self._value_rows, key=value_key)
+        self._target_attr_bit = self.index.attr_bit[Literal(target, self.values[0])]
+        self._lit_rows = [(self._rows_of[lit], self.index.attr_bit[lit]) for lit in self.index.literals]
 
     def best_insertion(self, rules: list[Rule]):
         """Best (gain, rule, position) this step, or None.
@@ -184,107 +141,103 @@ class _Trainer:
         premise is expanded only while its maximum information gain
         exceeds the best gain found so far.  Both are sound: the bound is
         monotone along every specialization edge, so a pruned premise
-        cannot hide a strictly better descendant.  Per premise, the gains
-        of all insertion positions come from one suffix-sum pass over the
-        matching rows keyed by their current first-match index.
+        cannot hide a strictly better descendant.
+
+        The rows are bucketed by their current first-match index once per
+        step.  Inserting value v at position p changes only the rows whose
+        index is at least p: a wrong row of value v turns correct (``up``)
+        and a correct row of another value turns wrong (``down``).  So a
+        premise's gain numerator there is two popcounts, and its maximum
+        information gain numerator is the popcount of its wrong rows.
+        Gains are compared as these integer numerators, which keeps ties
+        exact; they are divided by the total weight only when returned.
+        The premise and its sort key are built only for a candidate that
+        ties or beats the best, since a tie is settled by the full key.
         """
-        rule_info = []
-        for rule in rules:
-            lit = claim(rule.conclusion, self.target)
-            rule_info.append((self.index.mask_of(rule.premise), lit.value if lit else None))
         n_rules = len(rules)
         n_pos = n_rules + 1
-
-        def first_idx(row_mask: int) -> int:
-            for i, (mask, _) in enumerate(rule_info):
-                if mask is not None and row_mask & mask == mask:
-                    return i
-            return n_rules
-
-        row_idx = [first_idx(m) for m in self._row_masks]
-        row_correct = [
-            row_idx[i] < n_rules and rule_info[row_idx[i]][1] == self._row_targets[i]
-            for i in range(len(self._row_masks))
-        ]
-        best_gain = 0.0
+        remaining = self._all_rows
+        correct = 0
+        at_least = [0] * n_pos
+        for i, rule in enumerate(rules):
+            rows = remaining
+            for lit in rule.premise:
+                rows &= self._rows_of.get(lit, 0)
+            remaining &= ~rows
+            lit = claim(rule.conclusion, self.target)
+            correct |= rows & self._value_rows.get(lit.value if lit else None, 0)
+            at_least[i] = rows  # the rows whose first match is rule i, for now
+        at_least[n_rules] = remaining
+        for p in range(n_rules - 1, -1, -1):
+            at_least[p] |= at_least[p + 1]
+        wrong = self._all_rows & ~correct
+        moves = [(v, wrong & self._value_rows[v], correct & ~self._value_rows[v]) for v in self.values]
+        best_num = 0
         best = None  # (sort key, premise frozenset, value, position)
 
         default_blocked = bool(rules) and not rules[-1].premise
 
-        def consider(premise_lits: tuple[int, ...], matching: list[int]):
-            """Score one premise; returns its maximum information gain."""
-            nonlocal best_gain, best
-            if not matching:
-                return 0.0
-            mig = sum(self._row_weights[i] for i in matching if not row_correct[i]) / self.total
+        def consider(premise_lits: tuple[int, ...], matching: int) -> int:
+            """Score one premise; returns its maximum information gain numerator."""
+            nonlocal best_num, best
+            mig = (matching & wrong).bit_count()
             if premise_lits:
                 positions = range(n_pos)
             elif default_blocked:
-                positions = []
+                return mig
             else:
                 positions = [n_rules]
-            if positions:
-                premise = frozenset(self.index.literals[j] for j in premise_lits)
-                pkey = literal_set_key(premise)
-                for value in self.values:
-                    deltas = [0.0] * (n_pos + 1)
-                    for i in matching:
-                        delta = (1 if value == self._row_targets[i] else 0) - (
-                            1 if row_correct[i] else 0
-                        )
-                        if delta:
-                            deltas[row_idx[i]] += delta * self._row_weights[i]
-                    acc = 0.0
-                    suffix = [0.0] * n_pos
-                    for p in range(n_pos - 1, -1, -1):
-                        acc += deltas[p]
-                        suffix[p] = acc
-                    for p in positions:
-                        gain = suffix[p] / self.total
-                        if gain <= 0:
-                            continue
-                        cand_key = (
-                            -gain,
-                            len(premise_lits),
-                            -mig,
-                            pkey,
-                            value_key(value),
-                            p,
-                        )
-                        if best is None or cand_key < best[0]:
-                            best = (cand_key, premise, value, p)
-                            best_gain = gain
+            floor = best_num or 1  # a candidate must gain, and tie or beat the best
+            premise = pkey = None
+            for value, up, down in moves:
+                up &= matching
+                if up.bit_count() < floor:
+                    continue
+                down &= matching
+                for p in positions:
+                    gained = (up & at_least[p]).bit_count()
+                    if gained < floor:  # at_least[p] shrinks as p grows
+                        break
+                    num = gained - (down & at_least[p]).bit_count()
+                    if num < floor:
+                        continue
+                    if premise is None:
+                        premise = frozenset(self.index.literals[j] for j in premise_lits)
+                        pkey = literal_set_key(premise)
+                    cand_key = (-num, len(premise_lits), -mig, pkey, value_key(value), p)
+                    if best is None or cand_key < best[0]:
+                        best = (cand_key, premise, value, p)
+                        best_num = floor = num
             return mig
 
-        all_rows = list(range(len(self._row_masks)))
-        mig0 = consider((), all_rows)
+        mig0 = consider((), self._all_rows)
         # stack entries: (premise literal ids, premise attr mask, matching, mig);
         # the target's attribute starts out set, so no premise names it
-        stack = [((), self._target_attr_bit, all_rows, mig0)]
-        n_lits = len(self.index.literals)
+        stack = [((), self._target_attr_bit, self._all_rows, mig0)]
+        n_lits = len(self._lit_rows)
         while stack:
             premise_lits, attr_mask, matching, mig = stack.pop()
-            if mig <= best_gain:
+            if mig <= best_num:
                 continue
             start = premise_lits[-1] + 1 if premise_lits else 0
             for j in range(start, n_lits):
-                bit, ab = self._lit_bits[j]
+                lit_rows, ab = self._lit_rows[j]
                 if ab & attr_mask:
                     continue
-                child_matching = [i for i in matching if self._row_masks[i] & bit]
-                if not child_matching:
+                child = matching & lit_rows
+                if not child:
                     continue
                 child_lits = premise_lits + (j,)
-                child_mig = consider(child_lits, child_matching)
-                if child_mig > best_gain:
-                    stack.append((child_lits, attr_mask | ab, child_matching, child_mig))
+                child_mig = consider(child_lits, child)
+                if child_mig > best_num:
+                    stack.append((child_lits, attr_mask | ab, child, child_mig))
         if best is None:
             return None
         rule = Rule(
             premise=best[1],
             conclusion=frozenset([Literal(self.target, best[2])]),
         )
-        return best_gain, rule, best[3]
+        return best_num / self.total, rule, best[3]
 
 
 def learn_hero(model: CaseModel, target: str) -> RuleList:

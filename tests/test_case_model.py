@@ -12,8 +12,6 @@ from argmine.case_model import (
     build_case_model,
     case_model_from_json,
     case_model_to_json,
-    is_coherent,
-    is_conclusive,
     is_presumptively_valid,
     literals,
 )
@@ -21,6 +19,7 @@ from argmine.datasets import presumption_of_innocence
 from argmine.errors import InputError
 
 from conftest import random_case_model
+from oracles import is_coherent, is_conclusive
 
 
 def arg(premise, conclusion):

@@ -9,21 +9,19 @@ from pathlib import Path
 import pytest
 
 import argmine
-from argmine.case_model import CaseModel, Literal, build_case_model, literals
+from argmine.case_model import Case, CaseModel, Literal, build_case_model, literals
 from argmine.datasets import presumption_of_innocence
 from argmine.errors import InputError
 from argmine.hero import (
     Rule,
     RuleList,
     _Trainer,
-    _accuracy,
-    information_gain,
     learn_hero,
     learn_hero_multi,
-    max_information_gain,
 )
 
 from conftest import random_case_model
+from oracles import _accuracy, best_insertion_oracle, information_gain, max_information_gain
 
 TOL = 1e-9
 
@@ -86,6 +84,32 @@ def assert_steps_match_brute_force(trainer, rows, target):
         # cross-check the fast path against the direct computation
         direct = information_gain(rl, new_rule, pos, rows, target)
         assert abs(gain - direct) < TOL
+        rules.insert(pos, new_rule)
+
+
+def wide_case_model(rng):
+    """Random model wider than conftest's: 3-7 attributes, 2-4 values, 5-60 cases, weights 1-9."""
+    attrs = [f"a{i}" for i in range(rng.randint(3, 7))]
+    domains = {a: range(rng.randint(2, 4)) for a in attrs}
+    seen = {}
+    for _ in range(rng.randint(5, 60)):
+        lits = frozenset(Literal(a, rng.choice(domains[a])) for a in attrs if rng.random() < 0.8)
+        if not lits:
+            lits = frozenset([Literal(attrs[0], rng.choice(domains[attrs[0]]))])
+        seen[lits] = seen.get(lits, 0) + rng.randint(1, 9)
+    return CaseModel(tuple(Case(lits, w) for lits, w in seen.items()))
+
+
+def assert_steps_match_oracle(model, target, rules=()):
+    """Every greedy step until the list is complete returns the oracle's exact triple."""
+    trainer = _Trainer(model, target)
+    rules = list(rules)
+    while True:
+        step = trainer.best_insertion(rules)
+        assert step == best_insertion_oracle(model, target, rules), (model, target, rules)
+        if step is None:
+            return
+        _, new_rule, pos = step
         rules.insert(pos, new_rule)
 
 
@@ -223,6 +247,37 @@ class TestLearnHero:
                     for _ in range(case.weight)
                 ]
                 assert_steps_match_brute_force(_Trainer(model, target), rows, target)
+
+    def test_greedy_step_equals_the_row_oracle_exactly(self, rng):
+        # gains compared with ==: a float-rounded bound drops tied candidates
+        # that a 1e-9 tolerance would not notice
+        models = [random_case_model(rng) for _ in range(300)]
+        models += [wide_case_model(rng) for _ in range(12)]
+        for model in models:
+            for target, values in model.attributes.items():
+                assert_steps_match_oracle(model, target)
+                # a list without a default leaves rows that no rule matches
+                other = rng.choice([lit for lit in model.all_literals() if lit.attribute != target] or [None])
+                if other is not None:
+                    start = Rule(frozenset([other]), frozenset([Literal(target, rng.choice(values))]))
+                    assert_steps_match_oracle(model, target, [start])
+
+    def test_greedy_step_keeps_the_ties_a_float_bound_drops(self):
+        # total weight 41: a bound of best_gain * 41 rounds above the integer
+        # count it stands for, which skips a tied candidate with a better key
+        rows = [
+            ({"a1": 1, "a2": 3, "a3": 2, "a5": 1}, 9),
+            ({"a1": 3, "a2": 2, "a3": 3, "a5": 0}, 7),
+            ({"a0": 0, "a1": 2, "a2": 1}, 6),
+            ({"a0": 0, "a1": 3, "a2": 0, "a3": 2, "a5": 2}, 5),
+            ({"a1": 0, "a2": 1, "a3": 3, "a4": 1}, 5),
+            ({"a0": 0, "a1": 0, "a2": 1, "a3": 3, "a4": 0, "a5": 2}, 4),
+            ({"a0": 0, "a1": 2, "a2": 1, "a3": 0, "a4": 1, "a5": 2}, 3),
+            ({"a0": 0, "a1": 3, "a2": 3, "a4": 0}, 1),
+            ({"a0": 1, "a1": 3, "a2": 1, "a3": 0, "a5": 0}, 1),
+        ]
+        model = CaseModel(tuple(Case(literals(m), w) for m, w in rows))
+        assert_steps_match_oracle(model, "a2")
 
     def test_pruning_bound_is_sound(self, rng):
         # the oracle gain of a premise bounds every specialization's gain

@@ -13,9 +13,6 @@ from argmine.case_model import (
     CaseIndex,
     CaseModel,
     Literal,
-    argument_support,
-    is_coherent,
-    is_conclusive,
     is_presumptively_valid,
     literal_set_key,
     literals,
@@ -32,6 +29,7 @@ from argmine.pruned_search import (
 )
 
 from conftest import random_case_model
+from oracles import argument_support, is_coherent, is_conclusive
 from test_case_model import all_arguments
 
 
