@@ -71,6 +71,15 @@ def literals(mapping: Mapping[str, Any]) -> frozenset[Literal]:
     return frozenset(Literal(a, v) for a, v in mapping.items())
 
 
+def json_shape(value: Any, kind: type, path: str, key: str = "") -> Any:
+    """``value`` if it is a JSON object (``kind`` dict) or list, else an
+    InputError naming its key path ``path.key``, joined only on failure."""
+    if not isinstance(value, kind):
+        where = f"{path}.{key}" if key else path
+        raise InputError(f"{where} must be a JSON {'object' if kind is dict else 'list'}, got {value!r:.40}")
+    return value
+
+
 def literal_set_key(lits: Iterable[Literal]) -> tuple:
     return tuple(sorted(lit.sort_key() for lit in lits))
 
@@ -310,7 +319,7 @@ def _case_from_json(index: int, entry: Mapping[str, Any]) -> Case:
     weight = entry.get("weight", 1)
     if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
         raise InputError(f"case {index}: weight must be a positive integer, got {weight!r}")
-    return Case(literals(entry["literals"]), weight)
+    return Case(literals(json_shape(entry["literals"], dict, f"cases[{index}]", "literals")), weight)
 
 
 def case_model_from_json(data: Mapping[str, Any]) -> CaseModel:
@@ -334,11 +343,13 @@ def argument_to_json(arg: Argument) -> dict:
     return out
 
 
-def argument_from_json(data: Mapping[str, Any]) -> Argument:
+def argument_from_json(data: Mapping[str, Any], path: str = "argument") -> Argument:
+    """The argument in ``data``; ``path`` is its JSON key path, for errors."""
+    exceptions = json_shape(json_shape(data, dict, path).get("exceptions", []), list, path, "exceptions")
     return Argument(
-        premise=literals(data.get("premise", {})),
-        conclusion=literals(data["conclusion"]),
+        premise=literals(json_shape(data.get("premise", {}), dict, path, "premise")),
+        conclusion=literals(json_shape(data["conclusion"], dict, path, "conclusion")),
         status=data.get("status", PRESUMPTIVELY_VALID),
-        exceptions=tuple(argument_from_json(e) for e in data.get("exceptions", ())),
+        exceptions=tuple(argument_from_json(e, f"{path}.exceptions[{i}]") for i, e in enumerate(exceptions)),
         weight=data.get("weight"),
     )

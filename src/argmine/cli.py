@@ -182,7 +182,12 @@ def _prediction_pairs(f) -> list[tuple[Any, Any]]:
     reader = csv.DictReader(f)
     if "predicted" not in (reader.fieldnames or []) or "actual" not in (reader.fieldnames or []):
         raise InputError("predictions CSV needs 'predicted' and 'actual' columns")
-    return [(None if row["predicted"] == "abstain" else row["predicted"], row["actual"]) for row in reader]
+    pairs = []
+    for row in reader:
+        if None in row or None in row.values():  # how DictReader marks a long or a short row
+            raise InputError(f"line {reader.line_num} does not have one cell per header column")
+        pairs.append((None if row["predicted"] == "abstain" else row["predicted"], row["actual"]))
+    return pairs
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

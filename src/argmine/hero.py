@@ -3,22 +3,22 @@
 At every step the learner scores candidate rules at every insertion slot
 by information gain (the increase in training-set accuracy under
 first-match evaluation) and commits the best strictly positive one; it
-stops when nothing improves.  Whether a more specific premise is worth
-exploring is decided by the maximum information gain: the gain a perfect
-oracle rule on the same premise would achieve, an upper bound for all of
-its specializations.
+stops when nothing improves.
 
 HeRO learns from the same weighted case model as the pruned search: each
 case that assigns the target is one training row, counted with the
 case's weight.  The trainer expands every row to ``weight`` bits of one
-Python int, so the rows a premise matches are the AND of its literals'
-row bitsets and every weighted count in the greedy step is a popcount.
-Gains are compared as integer numerators over the total weight.
+Python int, so a premise's cover (the rows it matches) is the AND of its
+literals' row bitsets and every weighted count is a popcount.  A score
+depends on the cover alone, so one walk over the free sets of the row
+lattice lists each distinct cover once, with its smallest premise, and
+every step scores those.  Gains are compared as integer numerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable, Mapping, Sequence
 
 from .case_model import (
@@ -28,6 +28,7 @@ from .case_model import (
     claim,
     holds,
     is_consistent,
+    json_shape,
     literal_set_key,
     literals,
     literals_to_mapping,
@@ -86,11 +87,13 @@ class RuleList:
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "RuleList":
-        rules = tuple(
-            Rule(premise=literals(r.get("premise", {})), conclusion=literals(r["conclusion"]))
-            for r in data["rules"]
-        )
-        return RuleList(rules=rules, target=data.get("target"))
+        rules = []
+        for i, r in enumerate(json_shape(data["rules"], list, "rules")):
+            at = f"rules[{i}]"
+            premise = json_shape(json_shape(r, dict, at).get("premise", {}), dict, at, "premise")
+            conclusion = json_shape(r["conclusion"], dict, at, "conclusion")
+            rules.append(Rule(premise=literals(premise), conclusion=literals(conclusion)))
+        return RuleList(rules=tuple(rules), target=data.get("target"))
 
 
 def _first_match(rules: Sequence[Rule], instance: Mapping[str, Any], target: str) -> Any:
@@ -103,12 +106,18 @@ def _first_match(rules: Sequence[Rule], instance: Mapping[str, Any], target: str
 
 
 class _Trainer:
-    """The cases that assign the target, plus the greedy step with gain pruning.
+    """The rows that assign the target, each cover's smallest premise, and the greedy step.
 
     A row is such a case, expanded to a run of ``weight`` bits of one
-    Python int, so a set of rows is an int and its weighted count is its
-    popcount.  Each literal and each target value has its row bitset;
-    a premise's matching rows are the AND of its literals' bitsets.
+    Python int; each literal and each target value has its row bitset.
+    The key ranks a cover's premises by (length, literal ids), and
+    ``CaseIndex`` numbers literals in ``Literal.sort_key`` order, so each
+    nonempty cover is scored with its smallest premise, a free set (no
+    proper subset has its cover).  Dropping that premise's highest
+    literal leaves the smallest premise of a cover one literal shorter,
+    so one level-wise walk in ``__init__`` finds them all: level k
+    extends each premise of level k-1 by every higher literal id, in
+    lexicographic order, and a new cover keeps the first that reaches it.
     """
 
     def __init__(self, model: CaseModel, target: str):
@@ -130,29 +139,40 @@ class _Trainer:
             raise InputError(f"no case assigns the target attribute {target!r}")
         self._all_rows = (1 << self.total) - 1
         self.values = sorted(self._value_rows, key=value_key)
-        self._target_attr_bit = self.index.attr_bit[Literal(target, self.values[0])]
-        self._lit_rows = [(self._rows_of[lit], self.index.attr_bit[lit]) for lit in self.index.literals]
+        target_bit = self.index.attr_bit[Literal(target, self.values[0])]
+        lit_rows = [0 if self.index.attr_bit[lit] == target_bit else self._rows_of[lit] for lit in self.index.literals]
+        # cover -> its smallest nonempty premise as literal ids; the empty one may only be the default
+        self._covers: dict[int, tuple[int, ...]] = {}
+        level = [((), self._all_rows)]
+        while level:
+            grown = []
+            for ids, cover in level:
+                for j in range(ids[-1] + 1 if ids else 0, len(lit_rows)):
+                    child = cover & lit_rows[j]
+                    if child and child not in self._covers:
+                        self._covers[child] = ids + (j,)
+                        grown.append((ids + (j,), child))
+            level = grown
 
     def best_insertion(self, rules: list[Rule]):
         """Best (gain, rule, position) this step, or None.
 
-        Premises grow depth-first from the empty premise, each generated
-        from its single canonical parent (drop the highest literal bit); a
-        premise is expanded only while its maximum information gain
-        exceeds the best gain found so far.  Both are sound: the bound is
-        monotone along every specialization edge, so a pruned premise
-        cannot hide a strictly better descendant.
+        Scores the empty premise at the default slot (unless the list
+        already ends in a default), then each cover of the walk once with
+        its smallest premise, under the full key: higher gain, shorter
+        premise, higher maximum information gain, smaller literal ids,
+        smaller value, earlier position.
 
         The rows are bucketed by their current first-match index once per
         step.  Inserting value v at position p changes only the rows whose
         index is at least p: a wrong row of value v turns correct (``up``)
         and a correct row of another value turns wrong (``down``).  So a
         premise's gain numerator there is two popcounts, and its maximum
-        information gain numerator is the popcount of its wrong rows.
-        Gains are compared as these integer numerators, which keeps ties
-        exact; they are divided by the total weight only when returned.
-        The premise and its sort key are built only for a candidate that
-        ties or beats the best, since a tie is settled by the full key.
+        information gain numerator is the popcount of its wrong rows,
+        which bounds every gain of the premise.  Gains are compared as
+        these integer numerators, which keeps ties exact; they are
+        divided by the total weight only when returned.  Every early exit
+        skips only what gains less than the best so far, never a tie.
         """
         n_rules = len(rules)
         n_pos = n_rules + 1
@@ -173,22 +193,16 @@ class _Trainer:
         wrong = self._all_rows & ~correct
         moves = [(v, wrong & self._value_rows[v], correct & ~self._value_rows[v]) for v in self.values]
         best_num = 0
-        best = None  # (sort key, premise frozenset, value, position)
-
-        default_blocked = bool(rules) and not rules[-1].premise
-
-        def consider(premise_lits: tuple[int, ...], matching: int) -> int:
-            """Score one premise; returns its maximum information gain numerator."""
-            nonlocal best_num, best
+        best = None  # (sort key, premise literal ids, value, position)
+        scored = self._covers.items()
+        if not rules or rules[-1].premise:
+            scored = chain([(self._all_rows, ())], scored)
+        for matching, ids in scored:
             mig = (matching & wrong).bit_count()
-            if premise_lits:
-                positions = range(n_pos)
-            elif default_blocked:
-                return mig
-            else:
-                positions = [n_rules]
             floor = best_num or 1  # a candidate must gain, and tie or beat the best
-            premise = pkey = None
+            if mig < floor:
+                continue
+            positions = range(n_pos) if ids else (n_rules,)
             for value, up, down in moves:
                 up &= matching
                 if up.bit_count() < floor:
@@ -201,40 +215,14 @@ class _Trainer:
                     num = gained - (down & at_least[p]).bit_count()
                     if num < floor:
                         continue
-                    if premise is None:
-                        premise = frozenset(self.index.literals[j] for j in premise_lits)
-                        pkey = literal_set_key(premise)
-                    cand_key = (-num, len(premise_lits), -mig, pkey, value_key(value), p)
+                    cand_key = (-num, len(ids), -mig, ids, value_key(value), p)
                     if best is None or cand_key < best[0]:
-                        best = (cand_key, premise, value, p)
+                        best = (cand_key, ids, value, p)
                         best_num = floor = num
-            return mig
-
-        mig0 = consider((), self._all_rows)
-        # stack entries: (premise literal ids, premise attr mask, matching, mig);
-        # the target's attribute starts out set, so no premise names it
-        stack = [((), self._target_attr_bit, self._all_rows, mig0)]
-        n_lits = len(self._lit_rows)
-        while stack:
-            premise_lits, attr_mask, matching, mig = stack.pop()
-            if mig <= best_num:
-                continue
-            start = premise_lits[-1] + 1 if premise_lits else 0
-            for j in range(start, n_lits):
-                lit_rows, ab = self._lit_rows[j]
-                if ab & attr_mask:
-                    continue
-                child = matching & lit_rows
-                if not child:
-                    continue
-                child_lits = premise_lits + (j,)
-                child_mig = consider(child_lits, child)
-                if child_mig > best_num:
-                    stack.append((child_lits, attr_mask | ab, child, child_mig))
         if best is None:
             return None
         rule = Rule(
-            premise=best[1],
+            premise=frozenset(self.index.literals[j] for j in best[1]),
             conclusion=frozenset([Literal(self.target, best[2])]),
         )
         return best_num / self.total, rule, best[3]
@@ -244,11 +232,12 @@ def learn_hero(model: CaseModel, target: str) -> RuleList:
     """Grow a rule list for one target attribute by greedy information gain.
 
     Cases lacking the target are ignored; case weights count as rows.
-    Every step inserts the (rule, position) pair with the highest strictly
-    positive gain (ties: smaller premise, higher maximum information gain,
-    lexicographic premise and conclusion, earliest position) and the loop
-    stops when no insertion helps, so training accuracy increases strictly
-    monotonically and the loop terminates.
+    Every step inserts the (rule, position) pair that ranks first, exactly,
+    by: higher strictly positive gain, fewer premise literals, higher
+    maximum information gain (matching rows the list gets wrong), the
+    premise's ``literal_set_key``, the value's ``value_key``, the earlier
+    position.  The loop stops when no insertion helps, so training
+    accuracy increases strictly monotonically and the loop terminates.
     """
     trainer = _Trainer(model, target)
     rules: list[Rule] = []

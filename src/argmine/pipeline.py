@@ -68,7 +68,7 @@ def load_csv(path: str) -> Table:
     """
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:  # a byte-order mark is not part of a name
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -259,7 +259,7 @@ def read_input(path: str, parse: Callable[[Any], Any]) -> Any:
     """``parse`` of the open input file ``path``; a missing file or content
     ``parse`` cannot read raise InputError naming the file."""
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             return parse(f)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from None
@@ -465,6 +465,8 @@ def write_outputs(result: ExperimentResult) -> None:
 
 def run_grid(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[ExperimentResult]:
     """Run many experiments; configs are independent so workers may help."""
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

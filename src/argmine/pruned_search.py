@@ -30,6 +30,7 @@ from .case_model import (
     argument_from_json,
     argument_to_json,
     is_presumptively_valid,
+    json_shape,
 )
 from .errors import InputError, InvariantError
 
@@ -86,7 +87,10 @@ class Theory:
             target_attributes=tuple(ta) if ta else None,
         )
         return Theory(
-            arguments=tuple(argument_from_json(a) for a in data["arguments"]),
+            arguments=tuple(
+                argument_from_json(a, f"arguments[{i}]")
+                for i, a in enumerate(json_shape(data["arguments"], list, "arguments"))
+            ),
             config=config,
             model_summary=dict(data.get("model_summary", {})),
         )

@@ -116,9 +116,10 @@ def max_information_gain(
 def best_insertion_oracle(model: CaseModel, target: str, rules: list[Rule]):
     """HeRO's greedy step over a per-row list: best (gain, rule, position) or None.
 
-    The same search as ``hero._Trainer.best_insertion``; each premise keeps
-    the list of its matching rows and sums weights row by row, with the
-    gains as floats.
+    Scores every consistent premise with a nonempty cover, grown
+    depth-first without pruning, at every position under the documented
+    key of ``learn_hero``; each premise keeps the list of its matching
+    rows and sums weights row by row, with the gains as floats.
     """
     index = CaseIndex(model)
     rows = [
@@ -158,10 +159,10 @@ def best_insertion_oracle(model: CaseModel, target: str, rules: list[Rule]):
     default_blocked = bool(rules) and not rules[-1].premise
 
     def consider(premise_lits: tuple[int, ...], matching: list[int]):
-        """Score one premise; returns its maximum information gain."""
+        """Score one premise at every value and position it may take."""
         nonlocal best_gain, best
         if not matching:
-            return 0.0
+            return
         mig = sum(row_weights[i] for i in matching if not row_correct[i]) / total
         if premise_lits:
             positions = range(n_pos)
@@ -200,18 +201,15 @@ def best_insertion_oracle(model: CaseModel, target: str, rules: list[Rule]):
                     if best is None or cand_key < best[0]:
                         best = (cand_key, premise, value, p)
                         best_gain = gain
-        return mig
 
     all_rows = list(range(len(row_masks)))
-    mig0 = consider((), all_rows)
-    # stack entries: (premise literal ids, premise attr mask, matching, mig);
+    consider((), all_rows)
+    # stack entries: (premise literal ids, premise attr mask, matching);
     # the target's attribute starts out set, so no premise names it
-    stack = [((), target_attr_bit, all_rows, mig0)]
+    stack = [((), target_attr_bit, all_rows)]
     n_lits = len(index.literals)
     while stack:
-        premise_lits, attr_mask, matching, mig = stack.pop()
-        if mig <= best_gain:
-            continue
+        premise_lits, attr_mask, matching = stack.pop()
         start = premise_lits[-1] + 1 if premise_lits else 0
         for j in range(start, n_lits):
             bit, ab = lit_bits[j]
@@ -221,9 +219,8 @@ def best_insertion_oracle(model: CaseModel, target: str, rules: list[Rule]):
             if not child_matching:
                 continue
             child_lits = premise_lits + (j,)
-            child_mig = consider(child_lits, child_matching)
-            if child_mig > best_gain:
-                stack.append((child_lits, attr_mask | ab, child_matching, child_mig))
+            consider(child_lits, child_matching)
+            stack.append((child_lits, attr_mask | ab, child_matching))
     if best is None:
         return None
     rule = Rule(

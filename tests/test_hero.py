@@ -279,6 +279,21 @@ class TestLearnHero:
         model = CaseModel(tuple(Case(literals(m), w) for m, w in rows))
         assert_steps_match_oracle(model, "a2")
 
+    def test_greedy_step_takes_the_tied_premise_the_key_ranks_first(self):
+        # after the default, {a1=1, a3=2} and {a2=0, a3=2} both cover only the
+        # last case and gain 1/3; the key's premise order takes a1=1, which a
+        # search that prunes on `mig <= best` never scores
+        model = CaseModel((
+            Case(literals({"a0": 0, "a1": 1, "a2": 0}), 1),
+            Case(literals({"a0": 0, "a3": 2}), 1),
+            Case(literals({"a0": 2, "a1": 1, "a2": 0, "a3": 2}), 1),
+        ))
+        assert learn_hero(model, "a0").rules == (
+            rule({"a1": 1, "a3": 2}, {"a0": 2}),
+            rule({}, {"a0": 0}),
+        )
+        assert_steps_match_oracle(model, "a0")
+
     def test_pruning_bound_is_sound(self, rng):
         # the oracle gain of a premise bounds every specialization's gain
         for _ in range(20):

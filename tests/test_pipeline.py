@@ -236,7 +236,8 @@ BAD_INPUTS = [
     "config value of wrong type", "missing predictions", "exception outside its parent",
     "fractional case weight", "boolean case weight", "string case weight", "case that is not an object",
     "zero max premise size on a case model", "unknown target of pruned_search on a case model",
-    "unknown target of hero on a case model", "empty case model",
+    "unknown target of hero on a case model", "empty case model", "rule premise that is a list",
+    "arguments that are not a list",
 ]
 
 
@@ -295,6 +296,13 @@ def test_bad_input_files_exit_one(tmp_path, data_csv, capsys, case):
         argv = ["learn", "--input", datasets.presumption_of_innocence_path(), "--learner", case.split()[3],
                 "--target", "nosuch"]
         named = "no case assigns the target 'nosuch'"
+    elif case == "rule premise that is a list":
+        rule_list = {"target": "t", "rules": [{"premise": ["x1"], "conclusion": {"t": 1.0}}]}
+        argv = predict(model_path=write_json(tmp_path / "rules.json", rule_list))
+        named = "rules[0].premise must be a JSON object"
+    elif case == "arguments that are not a list":
+        argv = predict(model_path=write_json(tmp_path / "theory.json", {"arguments": "x"}))
+        named = "arguments must be a JSON list"
     elif case == "empty case model":
         argv = ["learn", "--input", write_json(tmp_path / "cases.json", {"cases": []}), "--learner", "pruned_search"]
         named = "cannot learn from an empty case model"
@@ -303,6 +311,29 @@ def test_bad_input_files_exit_one(tmp_path, data_csv, capsys, case):
         argv, named = ["experiment", "--config", write_json(tmp_path / "c.json", config), "--quiet"], "'max_premise'"
     assert cli.main(argv) == 1
     assert named in capsys.readouterr().err
+
+
+def test_load_csv_strips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeffx,y\n1,a\n", encoding="utf-8")
+    assert load_csv(str(path)).columns == ["x", "y"]
+
+
+@pytest.mark.parametrize("row", ["0", "0,0,0"])
+def test_evaluate_rejects_a_row_with_the_wrong_cell_count(tmp_path, capsys, row):
+    path = tmp_path / "predictions.csv"
+    path.write_text(f"predicted,actual\n1,1\n{row}\n")
+    assert cli.main(["evaluate", "--predictions", str(path)]) == 1
+    assert "line 3 does not have one cell per header column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_grid_rejects_fewer_than_one_worker(tmp_path, data_csv, capsys, workers):
+    with pytest.raises(InputError, match="workers"):
+        pipeline.run_grid([config_for(data_csv, "hero")], workers=workers)
+    configs = write_json(tmp_path / "grid.json", [{"dataset_path": data_csv, "target": "t", "learner": "hero"}])
+    assert cli.main(["grid", "--configs", configs, "--workers", str(workers)]) == 1
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", [{"seed": "0"}, {"bins": True}, {"split_fraction": "0.8"}, {"exception_depth": 5.0}])
