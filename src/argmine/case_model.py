@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InvariantError
 
 COHERENT = "coherent"
 PRESUMPTIVELY_VALID = "presumptively_valid"
 CONCLUSIVE = "conclusive"
+JSON_NUMBER = (int, float)
 
 
 def value_key(value: Any) -> tuple:
@@ -71,12 +72,13 @@ def literals(mapping: Mapping[str, Any]) -> frozenset[Literal]:
     return frozenset(Literal(a, v) for a, v in mapping.items())
 
 
-def json_shape(value: Any, kind: type, path: str, key: str = "") -> Any:
-    """``value`` if it is a JSON object (``kind`` dict) or list, else an
-    InputError naming its key path ``path.key``, joined only on failure."""
-    if not isinstance(value, kind):
+def json_shape(value: Any, kind: Any, path: str, key: str = "") -> Any:
+    """``value`` if it has the JSON ``kind`` (dict, list, str or JSON_NUMBER; never a bool),
+    else an InputError naming its key path ``path.key``, joined only on failure."""
+    if isinstance(value, bool) or not isinstance(value, kind):
         where = f"{path}.{key}" if key else path
-        raise InputError(f"{where} must be a JSON {'object' if kind is dict else 'list'}, got {value!r:.40}")
+        kinds = {dict: "object", list: "list", str: "string", JSON_NUMBER: "number"}
+        raise InputError(f"{where} must be a JSON {kinds[kind]}, got {value!r:.40}")
     return value
 
 
@@ -157,6 +159,12 @@ class Argument:
 
     def sort_key(self) -> tuple:
         return (len(self.premise), literal_set_key(self.premise), literal_set_key(self.conclusion))
+
+    def nodes(self) -> Iterator["Argument"]:
+        """This argument and every exception below it, in preorder."""
+        yield self
+        for exc in self.exceptions:
+            yield from exc.nodes()
 
     def __repr__(self) -> str:
         prem = ", ".join(map(repr, sorted(self.premise, key=Literal.sort_key))) or "∅"
@@ -346,6 +354,8 @@ def argument_to_json(arg: Argument) -> dict:
 def argument_from_json(data: Mapping[str, Any], path: str = "argument") -> Argument:
     """The argument in ``data``; ``path`` is its JSON key path, for errors."""
     exceptions = json_shape(json_shape(data, dict, path).get("exceptions", []), list, path, "exceptions")
+    if data.get("status", PRESUMPTIVELY_VALID) not in (PRESUMPTIVELY_VALID, CONCLUSIVE):
+        raise InputError(f"{path}.status must be {PRESUMPTIVELY_VALID!r} or {CONCLUSIVE!r}, got {data['status']!r:.40}")
     return Argument(
         premise=literals(json_shape(data.get("premise", {}), dict, path, "premise")),
         conclusion=literals(json_shape(data["conclusion"], dict, path, "conclusion")),

@@ -14,7 +14,7 @@ import sys
 from dataclasses import fields
 from typing import Any
 
-from .case_model import case_model_from_json
+from .case_model import case_model_from_json, json_shape
 from .discretize import BinningScheme
 from .errors import InputError, InvariantError
 from .hero import RuleList, learn_hero, learn_hero_multi
@@ -143,16 +143,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     table = load_csv(args.input)
     # a tree names its missing feature when it predicts; rule premises would just fail
     premises = [r.premise for r in model.rules] if isinstance(model, RuleList) else []
-    nodes = list(model.arguments) if isinstance(model, Theory) else []
-    while nodes:
-        node = nodes.pop()
-        premises.append(node.premise)
-        nodes.extend(node.exceptions)
+    premises += [n.premise for a in model.arguments for n in a.nodes()] if isinstance(model, Theory) else []
     missing = sorted({lit.attribute for p in premises for lit in p} - set(table.columns) - {args.target})
     if missing:
         raise InputError(f"{args.input} lacks the columns {missing} that the model's premises use")
     if args.schemes:
-        schemes = read_json(args.schemes, lambda data: {k: BinningScheme.from_json(v) for k, v in data.items()})
+        schemes = read_json(args.schemes, lambda data: {
+            k: BinningScheme.from_json(v, k) for k, v in json_shape(data, dict, "schemes").items()})
         # load_csv types each column as a whole: all floats or all strings
         text = [c for c in table.columns if c in schemes and isinstance(table.rows[0][c], str)]
         if text:

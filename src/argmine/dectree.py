@@ -19,7 +19,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .case_model import Literal, value_key
+from .case_model import JSON_NUMBER, Literal, json_shape, value_key
 from .errors import InputError
 from .hero import Rule
 
@@ -92,15 +92,18 @@ class TreeNode:
         }
 
     @staticmethod
-    def from_json(data: Mapping[str, Any]) -> "TreeNode":
-        if "feature" in data:
+    def from_json(data: Mapping[str, Any], path: str = "tree") -> "TreeNode":
+        if "feature" in json_shape(data, dict, path):
             return TreeNode(
-                feature=data["feature"],
-                threshold=data["threshold"],
-                left=TreeNode.from_json(data["left"]),
-                right=TreeNode.from_json(data["right"]),
+                feature=json_shape(data["feature"], str, path, "feature"),
+                threshold=json_shape(data["threshold"], JSON_NUMBER, path, "threshold"),
+                left=TreeNode.from_json(data["left"], f"{path}.left"),
+                right=TreeNode.from_json(data["right"], f"{path}.right"),
             )
-        return TreeNode(class_counts=tuple((v, c) for v, c in data["class_counts"]))
+        counts = json_shape(data["class_counts"], list, path, "class_counts")
+        if not all(isinstance(p, list) and len(p) == 2 and type(p[1]) is int for p in counts):
+            raise InputError(f"{path}.class_counts must list [value, integer count] pairs, got {counts!r:.40}")
+        return TreeNode(class_counts=tuple((v, c) for v, c in counts))
 
 
 def gini(class_counts: Mapping[Any, int] | Sequence[int]) -> float:

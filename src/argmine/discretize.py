@@ -21,6 +21,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .case_model import JSON_NUMBER, json_shape
 from .errors import (
     InputError,
     InvariantError,
@@ -90,15 +91,16 @@ class BinningScheme:
         }
 
     @staticmethod
-    def from_json(data: Mapping[str, Any]) -> "BinningScheme":
+    def from_json(data: Mapping[str, Any], path: str = "scheme") -> "BinningScheme":
         # older scheme files carry a "seed" parameter that no algorithm read
-        params = {k: v for k, v in data.get("params", {}).items() if k != "seed"}
+        params = json_shape(json_shape(data, dict, path).get("params", {}), dict, path, "params")
+        cuts = json_shape(data["boundaries"], list, path, "boundaries")
         try:
             return BinningScheme(
                 attribute=data["attribute"],
                 method=data["method"],
-                boundaries=tuple(data["boundaries"]),
-                params=DiscretizationParams(**params),
+                boundaries=tuple(json_shape(b, JSON_NUMBER, f"{path}.boundaries[{i}]") for i, b in enumerate(cuts)),
+                params=DiscretizationParams(**{k: v for k, v in params.items() if k != "seed"}),
             )
         except InvariantError as exc:  # a scheme read from a file is input
             raise InputError(f"scheme for {data['attribute']!r}: {exc}") from None

@@ -8,7 +8,14 @@ target value and is itself undefeated (so an exception to an exception
 reinstates its grandparent), i.e. the `grounded_extension` of the tree's
 acyclic attack graph.  A defeated claim has an undefeated defeater whose
 premise strictly extends its own, so the most specific applicable claim
-is never defeated.  Rule lists predict by first applicable rule.
+is never defeated.
+
+Theories and rule lists share one evaluation, the first applicable rule
+(`Theory.rule_list`): an exception's premise properly extends its
+parent's, so a node applies only where its ancestors do.  Listing the
+roots that claim the target in anchor order, each followed by its tree's
+target claims most specific first, puts the first applicable rule in the
+anchor's block, and there it is the most specific applicable claim.
 
 `detect_self_attack` chains rules forward (a rule's conclusions feeding
 another's premise) into composite arguments and reports those whose
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .case_model import Argument, Literal, claim, holds, literal_set_key, value_key
+from .case_model import Literal, value_key
 from .errors import InputError
 from .hero import Rule, RuleList
 from .pruned_search import Theory
@@ -29,59 +36,17 @@ ABSTAIN = None
 MAX_CHAIN = 3  # rules per composite argument
 
 
-def _claims(arg: Argument, instance: Mapping[str, Any], target: str, found: list) -> None:
-    """Append (node, target literal) for every node of ``arg``'s exception
-    tree whose premise holds and that claims the target.  Nothing below a
-    node whose premise fails is visited: an exception's premise properly
-    extends its parent's, so it fails too."""
-    if not holds(arg.premise, instance):
-        return
-    lit = claim(arg.conclusion, target)
-    if lit is not None:
-        found.append((arg, lit))
-    for exc in arg.exceptions:
-        _claims(exc, instance, target, found)
-
-
-def _rank(size_sign: int):
-    """Sort key over (argument, target literal) pairs: premise size times
-    ``size_sign``, then heavier source case, lexicographic premise, value."""
-    return lambda pair: (
-        size_sign * len(pair[0].premise),
-        -(pair[0].weight or 0),
-        literal_set_key(pair[0].premise),
-        pair[1].sort_key(),
-    )
-
-
-def predict_theory(
-    theory: Theory,
-    instance: Mapping[str, Any],
-    target: str,
-) -> Any:
+def predict_theory(theory: Theory, instance: Mapping[str, Any], target: str) -> Any:
     """Target value of the most specific applicable claim under the anchor.
 
-    The most general applicable argument concluding on the target (ties:
-    heavier source case, then lexicographic premise) anchors the
-    reasoning; among the nodes of its exception tree whose premise holds
-    and that claim the target, the largest premise wins, with the same
-    tie-breaks.  That claim is in the grounded extension, where an
-    exception attacks its parent when it claims a rival target value:
-    were it defeated, its undefeated defeater would claim the target with
-    a strictly larger premise and rank first.  No applicable argument
-    means abstention (None).
+    The most general applicable argument claiming the target (ties:
+    heavier source case, then lexicographic premise) anchors; among the
+    applicable target claims of its exception tree the largest premise
+    wins, with the same tie-breaks.  This is the first match over
+    `Theory.rule_list` (see the module docstring).  No applicable
+    argument means abstention (None).
     """
-    roots = []
-    for arg in theory.arguments:
-        lit = claim(arg.conclusion, target)
-        if lit is not None and holds(arg.premise, instance):
-            roots.append((arg, lit))
-    if not roots:
-        return None
-    anchor, _ = min(roots, key=_rank(1))
-    found: list[tuple[Argument, Literal]] = []
-    _claims(anchor, instance, target, found)
-    return min(found, key=_rank(-1))[1].value
+    return theory.rule_list(target).first_match(instance)
 
 
 def predict_rule_list(rule_list: RuleList, instance: Mapping[str, Any], target: str | None = None) -> Any:
@@ -200,16 +165,11 @@ def _chains(source: Theory | RuleList | Sequence[Rule]) -> list[ChainArgument]:
         if all(isinstance(c, Literal) for c in prem | concl)
     ]
     nodes: list[ChainArgument] = []
-    seen: set[tuple] = set()
     frontier: list[tuple[ChainArgument, frozenset, frozenset]] = []
     for i, (prem, concl) in enumerate(literal_rules):
-        chain = ChainArgument(
-            links=(i,), premise=prem, intermediates=frozenset(), conclusion=concl
-        )
+        chain = ChainArgument(links=(i,), premise=prem, intermediates=frozenset(), conclusion=concl)
         nodes.append(chain)
-        derived = frozenset(concl)
-        asserted = frozenset(prem | concl)
-        frontier.append((chain, derived, asserted))
+        frontier.append((chain, concl, prem | concl))  # (chain, derived, asserted)
     for _ in range(1, MAX_CHAIN):
         next_frontier = []
         for chain, derived, asserted in frontier:
@@ -229,10 +189,6 @@ def _chains(source: Theory | RuleList | Sequence[Rule]) -> list[ChainArgument]:
                     intermediates=chain.intermediates | chain.conclusion,
                     conclusion=concl,
                 )
-                key = (new_chain.links,)
-                if key in seen:
-                    continue
-                seen.add(key)
                 nodes.append(new_chain)
                 next_frontier.append(
                     (new_chain, derived | concl, asserted | prem | concl)

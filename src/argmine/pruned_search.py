@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .case_model import (
     CONCLUSIVE,
@@ -29,10 +29,13 @@ from .case_model import (
     Literal,
     argument_from_json,
     argument_to_json,
+    claim,
     is_presumptively_valid,
     json_shape,
+    literal_set_key,
 )
 from .errors import InputError, InvariantError
+from .hero import Rule, RuleList
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,31 @@ class Theory:
     arguments: tuple[Argument, ...]
     config: SearchConfig
     model_summary: dict = field(default_factory=dict)
+    # target -> `rule_list(target)`: a cache filled on first use, not part of the value
+    _rule_lists: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def rule_list(self, target: str) -> RuleList:
+        """The claims on ``target`` as a first-match rule list, built once per target.
+
+        Roots claiming the target come in anchor order (smaller premise, heavier
+        source case, lexicographic premise, value), each followed by the target
+        claims of its whole tree, larger premise first; stable sorts keep ties in
+        theory order and preorder.  Rules that could never fire are left out: a
+        premise already listed, and all after the empty-premise root."""
+        if target not in self._rule_lists:
+            def ranked(args: Iterable[Argument], size_sign: int) -> list[Argument]:
+                return sorted((a for a in args if claim(a.conclusion, target)), key=lambda a: (
+                    size_sign * len(a.premise), -(a.weight or 0), literal_set_key(a.premise),
+                    claim(a.conclusion, target).sort_key()))
+
+            rules: dict[frozenset, Rule] = {}
+            for root in ranked(self.arguments, 1):
+                for node in ranked(root.nodes(), -1):
+                    rules.setdefault(node.premise, Rule(node.premise, node.conclusion))
+                if not root.premise:
+                    break
+            self._rule_lists[target] = RuleList(tuple(rules.values()), target)
+        return self._rule_lists[target]
 
     def to_json(self) -> dict:
         return {

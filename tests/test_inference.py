@@ -147,6 +147,32 @@ def every_instance(model):
         yield {a: v for a, v in zip(model.attributes, choice) if v is not None}
 
 
+def random_theory(rng):
+    """Hand-built theory over premises on a0..a2 and claims on t and u.
+
+    Unlike learned theories it has roots with the same premise and
+    different exception trees, roots and exceptions that claim only one
+    of the two targets (so target claims sit below non-target nodes),
+    and many equal weights."""
+
+    def conclusion():
+        claims = {t: rng.randint(0, 1) for t in ("t", "u") if rng.random() < 0.6}
+        return literals(claims or {rng.choice("tu"): rng.randint(0, 1)})
+
+    def node(premise, depth):
+        free = [a for a in ("a0", "a1", "a2") if a not in premise]
+        exceptions = []
+        for _ in range(rng.randint(0, 3) if depth and free else 0):
+            extra = rng.sample(free, rng.randint(1, len(free)))
+            exceptions.append(node({**premise, **{a: rng.randint(0, 1) for a in extra}}, depth - 1))
+        return Argument(premise=literals(premise), conclusion=conclusion(),
+                        exceptions=tuple(exceptions), weight=rng.choice((None, 1, 2)))
+
+    premises = [{}, {"a0": 0}, {"a0": 1}, {"a1": 0}, {"a0": 0, "a1": 1}]
+    roots = tuple(node(rng.choice(premises), 3) for _ in range(rng.randint(1, 5)))
+    return Theory(arguments=roots, config=SearchConfig(), model_summary={})
+
+
 def test_predict_theory_matches_the_flattening_oracle():
     # theories learned for every attribute mix target claims with merged
     # conclusions and exceptions on the other attributes
@@ -163,6 +189,21 @@ def test_predict_theory_matches_the_flattening_oracle():
                 assert predict_theory(theory, instance, target) == expected, (theory, instance, target)
                 compared += 1
     assert compared > 50_000
+    # hand-built theories, each predicted for two targets in alternation
+    instances = [
+        {a: v for a, v in zip(("a0", "a1", "a2"), choice) if v is not None}
+        for choice in itertools.product((None, 0, 1), repeat=3)
+    ]
+    for _ in range(300):
+        theory = random_theory(rng)
+        saved = theory.to_json()
+        for instance in instances:
+            for target in ("t", "u"):
+                expected = flatten_and_recheck(theory, instance, target)
+                assert grounded_prediction(theory, instance, target) == expected, (theory, instance, target)
+                assert predict_theory(theory, instance, target) == expected, (theory, instance, target)
+        assert theory.to_json() == saved
+        assert theory == Theory.from_json(saved)
 
 
 def test_survives_reports_defeat_and_reinstatement():

@@ -237,7 +237,8 @@ BAD_INPUTS = [
     "fractional case weight", "boolean case weight", "string case weight", "case that is not an object",
     "zero max premise size on a case model", "unknown target of pruned_search on a case model",
     "unknown target of hero on a case model", "empty case model", "rule premise that is a list",
-    "arguments that are not a list",
+    "arguments that are not a list", "tree threshold that is a string", "scheme boundaries that are a string",
+    "scheme that is a list", "argument of unknown status", "tree class count that is a string",
 ]
 
 
@@ -303,6 +304,24 @@ def test_bad_input_files_exit_one(tmp_path, data_csv, capsys, case):
     elif case == "arguments that are not a list":
         argv = predict(model_path=write_json(tmp_path / "theory.json", {"arguments": "x"}))
         named = "arguments must be a JSON list"
+    elif case == "tree threshold that is a string":
+        leaf = {"class_counts": [[0.0, 1]]}
+        tree = {"feature": "x1", "threshold": 0.5, "right": leaf,
+                "left": {"feature": "x1", "threshold": "a", "left": leaf, "right": leaf}}
+        argv = predict(model_path=write_json(tmp_path / "tree.json", {"tree": tree}))
+        named = "tree.left.threshold must be a JSON number"
+    elif case == "tree class count that is a string":
+        argv = predict(model_path=write_json(tmp_path / "tree.json", {"tree": {"class_counts": [[0.0, "x"], [1.0, 2]]}}))
+        named = "tree.class_counts must list [value, integer count] pairs"
+    elif case == "scheme boundaries that are a string":
+        argv = predict(schemes_path=write_json(tmp_path / "bad.json", {**schemes, "x1": {**schemes["x1"], "boundaries": "ab"}}))
+        named = "x1.boundaries must be a JSON list"
+    elif case == "scheme that is a list":
+        argv = predict(schemes_path=write_json(tmp_path / "bad.json", {**schemes, "x1": [0.5]}))
+        named = "x1 must be a JSON object"
+    elif case == "argument of unknown status":
+        model["arguments"][0]["status"] = "weird"
+        argv, named = predict(), "arguments[0].status must be"
     elif case == "empty case model":
         argv = ["learn", "--input", write_json(tmp_path / "cases.json", {"cases": []}), "--learner", "pruned_search"]
         named = "cannot learn from an empty case model"
