@@ -11,13 +11,14 @@ An argument is *coherent* if premise and conclusion hold together in some
 case, *presumptively valid* if the conclusion holds in a maximally
 preferred case satisfying the premise, and *conclusive* if it is coherent
 and the conclusion holds in every case satisfying the premise.
-``CaseIndex.scan`` decides all three in one pass over the cases;
-``is_presumptively_valid`` spells out its definition, against which
-``learn_pruned`` rechecks its result.
+``CaseIndex.scan`` decides all three from the premise's and the
+conclusion's case bitsets (covers); ``is_presumptively_valid`` spells out
+its definition, against which ``learn_pruned`` rechecks its result.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -73,11 +74,11 @@ def literals(mapping: Mapping[str, Any]) -> frozenset[Literal]:
 
 
 def json_shape(value: Any, kind: Any, path: str, key: str = "") -> Any:
-    """``value`` if it has the JSON ``kind`` (dict, list, str or JSON_NUMBER; never a bool),
+    """``value`` if it has the JSON ``kind`` (dict, list, str, int or JSON_NUMBER; never a bool),
     else an InputError naming its key path ``path.key``, joined only on failure."""
     if isinstance(value, bool) or not isinstance(value, kind):
         where = f"{path}.{key}" if key else path
-        kinds = {dict: "object", list: "list", str: "string", JSON_NUMBER: "number"}
+        kinds = {dict: "object", list: "list", str: "string", int: "integer", JSON_NUMBER: "number"}
         raise InputError(f"{where} must be a JSON {kinds[kind]}, got {value!r:.40}")
     return value
 
@@ -226,12 +227,15 @@ def build_case_model(rows: Sequence[Mapping[str, Any]]) -> CaseModel:
 
 
 class CaseIndex:
-    """Bitmask view of a case model: literals become bit positions.
+    """Bitset view of a case model: literals and cases become bit positions.
 
-    Cases and premises are compacted to integer bitmasks over the model's
-    observed literals, which keeps the coherence and validity scans of the
-    pruned search cheap even on a few hundred cases.  The literal order
-    here is the one both rule learners enumerate premises in.
+    Literal ``i`` of ``literals``, in ``Literal.sort_key`` order, is bit
+    ``i`` of a premise mask; this is the order both rule learners
+    enumerate premises in.  Case ``i`` of the model, heaviest first, is
+    bit ``i`` of a cover: ``cover[lit]`` is the set of cases holding
+    ``lit``, and a literal set's cover is the AND of its literals' covers
+    (a tid-list).  Equal weights are adjacent in case order, so covers
+    never grow with case weight and the weights are read per run.
     """
 
     def __init__(self, model: CaseModel):
@@ -241,12 +245,21 @@ class CaseIndex:
         for lit in self.literals:
             self.attr_ids.setdefault(lit.attribute, len(self.attr_ids))
         self.attr_bit = {lit: 1 << self.attr_ids[lit.attribute] for lit in self.literals}
-        # cases ordered by descending weight (model guarantees the order)
-        self.case_masks = [self._mask(c.literals) for c in model.cases]
-        self.case_weights = [c.weight for c in model.cases]
-
-    def _mask(self, lits: Iterable[Literal]) -> int:
-        return sum(self.bit[lit] for lit in lits)
+        self.all_cases = (1 << len(model.cases)) - 1
+        case_bits: dict[Literal, list[int]] = {lit: [] for lit in self.literals}
+        # each run of equal weights is one mask; the masks ascend, heaviest run first
+        self._run_masks: list[int] = []
+        self._run_weights: list[int] = []
+        for i, case in enumerate(model.cases):
+            for lit in case.literals:
+                case_bits[lit].append(1 << i)
+            if self._run_weights and self._run_weights[-1] == case.weight:
+                self._run_masks[-1] |= 1 << i
+            else:
+                self._run_masks.append(1 << i)
+                self._run_weights.append(case.weight)
+        # one hash per (case, literal): a Literal's hash runs in Python; distinct bits sum to their OR
+        self.cover = {lit: sum(bits) for lit, bits in case_bits.items()}
 
     def mask_of(self, lits: Iterable[Literal]) -> int | None:
         """Bitmask of a literal set, or None if a literal is unobserved."""
@@ -261,35 +274,34 @@ class CaseIndex:
     def literals_of(self, mask: int) -> frozenset[Literal]:
         return frozenset(lit for lit in self.literals if self.bit[lit] & mask)
 
-    def support_sum(self, mask: int) -> int:
-        """Total weight of the cases containing every literal in the mask."""
-        return sum(
-            w for cm, w in zip(self.case_masks, self.case_weights) if cm & mask == mask
-        )
+    def cover_of(self, lits: Iterable[Literal]) -> int:
+        """The cases holding every literal of ``lits``; an unobserved literal holds in none."""
+        cover = self.all_cases
+        for lit in lits:
+            cover &= self.cover.get(lit, 0)
+        return cover
 
-    def scan(self, pmask: int, cmask: int):
-        """Classify (premise, conclusion) in one pass over the cases.
+    def weight_of(self, cover: int) -> int:
+        """Total weight of the cases in ``cover``."""
+        return sum(w * (cover & m).bit_count() for m, w in zip(self._run_masks, self._run_weights))
+
+    def _top_weight(self, cover: int) -> int:
+        """Weight of the heaviest case in a nonempty cover: its lowest set bit's run."""
+        return self._run_weights[bisect_left(self._run_masks, cover & -cover)]
+
+    def scan(self, pcover: int, ccover: int):
+        """Classify (premise, conclusion) from their covers.
 
         Returns (coherent, presumptively_valid, conclusive, support) where
         support is the weight of the heaviest case containing both sides.
         Presumptive validity takes the existential reading of weight ties:
         the conclusion must hold in some heaviest premise case.
         """
-        full = pmask | cmask
-        top_w = None
-        all_contain = True
-        support = None
-        for cm, w in zip(self.case_masks, self.case_weights):
-            if cm & pmask == pmask:
-                if top_w is None:
-                    top_w = w
-                if cm & full == full:
-                    if support is None:
-                        support = w
-                else:
-                    all_contain = False
-        coherent = support is not None
-        return coherent, coherent and support == top_w, coherent and all_contain, support
+        both = pcover & ccover
+        if not both:
+            return False, False, False, None
+        support = self._top_weight(both)
+        return True, support == self._top_weight(pcover), not pcover & ~ccover, support
 
 
 def _premise_cases(model: CaseModel, premise: frozenset[Literal]) -> list[Case]:
@@ -356,10 +368,13 @@ def argument_from_json(data: Mapping[str, Any], path: str = "argument") -> Argum
     exceptions = json_shape(json_shape(data, dict, path).get("exceptions", []), list, path, "exceptions")
     if data.get("status", PRESUMPTIVELY_VALID) not in (PRESUMPTIVELY_VALID, CONCLUSIVE):
         raise InputError(f"{path}.status must be {PRESUMPTIVELY_VALID!r} or {CONCLUSIVE!r}, got {data['status']!r:.40}")
+    weight = data.get("weight")
+    if weight is not None and json_shape(weight, int, path, "weight") < 1:
+        raise InputError(f"{path}.weight must be >= 1, got {weight}")
     return Argument(
         premise=literals(json_shape(data.get("premise", {}), dict, path, "premise")),
         conclusion=literals(json_shape(data["conclusion"], dict, path, "conclusion")),
         status=data.get("status", PRESUMPTIVELY_VALID),
         exceptions=tuple(argument_from_json(e, f"{path}.exceptions[{i}]") for i, e in enumerate(exceptions)),
-        weight=data.get("weight"),
+        weight=weight,
     )

@@ -1,15 +1,17 @@
 """Systematic search for presumptively valid arguments with coherence pruning.
 
-The learner enumerates candidate premises level by level for each
-conclusion literal.  Coherence is the pruning criterion: an incoherent
-(premise, conclusion) pair can have no coherent extension of its premise,
-so the whole branch is cut.  Surviving candidates are classified as
-presumptively valid or conclusive; the top level keeps the arguments no
-less specific premise already supports, each is annotated with
-recursively mined exceptions (grown by the same level-wise search), and
-same-premise arguments are merged.
+The learner enumerates candidate premises once, level by level, and
+reads every wanted conclusion literal from each premise's cover (the
+bitset of the cases holding it).  Coherence is the pruning criterion: a
+premise whose cover meets no conclusion's cover is coherent with none of
+them, and neither is any extension of it, so the whole branch is cut.
+Surviving candidates are classified as presumptively valid or
+conclusive; the top level keeps the arguments no less specific premise
+already supports, each is annotated with recursively mined exceptions
+(grown by the same level-wise walk), and same-premise arguments are
+merged.
 
-All scans run over the bitmask view ``case_model.CaseIndex``.  The
+All scans run over the bitset view ``case_model.CaseIndex``.  The
 definitional checks of ``case_model`` serve only as a final consistency
 check on the learned theory.
 """
@@ -17,7 +19,9 @@ check on the learned theory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import combinations, islice
+from operator import or_
 from typing import Any, Iterable, Iterator, Mapping
 
 from .case_model import (
@@ -108,10 +112,12 @@ class Theory:
 
     @staticmethod
     def from_json(data: Mapping[str, Any]) -> "Theory":
-        cfg = data.get("config", {})
+        cfg = json_shape(data.get("config", {}), dict, "config")
         ta = cfg.get("target_attributes")
+        if ta is not None:
+            json_shape(ta, list, "config", "target_attributes")
         config = SearchConfig(
-            **{k: cfg[k] for k in ("max_premise_size", "exception_depth") if k in cfg},
+            **{k: json_shape(cfg[k], int, "config", k) for k in ("max_premise_size", "exception_depth") if k in cfg},
             target_attributes=tuple(ta) if ta else None,
         )
         return Theory(
@@ -120,52 +126,44 @@ class Theory:
                 for i, a in enumerate(json_shape(data["arguments"], list, "arguments"))
             ),
             config=config,
-            model_summary=dict(data.get("model_summary", {})),
+            model_summary=dict(json_shape(data.get("model_summary", {}), dict, "model_summary")),
         )
 
 
-def _coherent_extensions(
-    index: CaseIndex, concl: Literal, base_mask: int, base_attrs: int, levels: int
-) -> Iterator[tuple[int, bool, bool, int]]:
-    """Coherent premises for ``concl`` that extend a base premise.
+def _premises(
+    index: CaseIndex, base: int, cover: int, excluded: int, within: int, levels: int
+) -> Iterator[tuple[int, int]]:
+    """(premise mask, cover) of a base premise and of its extensions by up to ``levels`` literals.
 
-    Yields (premise mask, presumptively valid, conclusive, support) for
-    the base itself and then for every coherent extension by up to
-    ``levels`` literals, level by level; nothing if the base is
-    incoherent.  An incoherent premise is pruned together with all of its
-    supersets, which is safe because coherence is anti-monotone in the
-    premise.  Single-literal extensions of the coherent frontier generate
-    every candidate a join of two same-size premises would (each join
-    result extends one of its own coherent subsets).
+    Extensions add no literal of an attribute in ``excluded``, which holds
+    the base's own attributes, and reach only premises whose cover meets
+    ``within``, the union of the wanted conclusions' covers.  A cover only
+    shrinks as literals are added, so a premise coherent with no
+    conclusion is cut with all of its extensions.  Level k extends each
+    premise of level k-1 only by literals of a higher id than those it
+    added, so each premise is reached once.
     """
-    cbit = index.bit[concl]
-    coh, pv, conclusive, support = index.scan(base_mask, cbit)
-    if not coh:
+    if not cover & within:
         return
-    yield base_mask, pv, conclusive, support
-    excluded = base_attrs | index.attr_bit[concl]
-    ext_lits = [
-        (index.bit[lit], index.attr_bit[lit])
-        for lit in index.literals
-        if not index.attr_bit[lit] & excluded
-    ]
-    frontier: list[tuple[int, int]] = [(base_mask, base_attrs)]  # (premise, attributes)
+    yield base, cover
+    lits = [lit for lit in index.literals if not index.attr_bit[lit] & excluded]
+    ext = [(index.bit[lit], index.attr_bit[lit], index.cover[lit]) for lit in lits]
+    level = [(0, base, excluded, cover)]  # (first literal to add, premise, its attributes, cover)
     for _ in range(levels):
-        candidates: dict[int, int] = {}
-        for pmask, amask in frontier:
-            for lbit, labit in ext_lits:
-                if labit & amask:
-                    continue
-                candidates.setdefault(pmask | lbit, amask | labit)
-        frontier = []
-        for pmask, amask in candidates.items():
-            coh, pv, conclusive, support = index.scan(pmask, cbit)
-            if not coh:
-                continue
-            frontier.append((pmask, amask))
-            yield pmask, pv, conclusive, support
-        if not frontier:
-            break
+        grown = []
+        for start, pmask, attrs, pcover in level:
+            for j in range(start, len(ext)):
+                lbit, abit, lcover = ext[j]
+                child = pcover & lcover
+                if child & within and not abit & attrs:
+                    yield pmask | lbit, child
+                    grown.append((j + 1, pmask | lbit, attrs | abit, child))
+        level = grown
+
+
+def _argument(index: CaseIndex, pmask: int, concl: Literal, conclusive: bool, support: int) -> Argument:
+    status = CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID
+    return Argument(index.literals_of(pmask), frozenset([concl]), status, weight=support)
 
 
 def search_arguments(model: CaseModel, config: SearchConfig) -> list[Argument]:
@@ -176,25 +174,20 @@ def search_arguments(model: CaseModel, config: SearchConfig) -> list[Argument]:
     where the stronger notion holds.
     """
     index = CaseIndex(model)
-    conclusions = index.literals
-    if config.target_attributes is not None:
-        wanted = set(config.target_attributes)
-        conclusions = [lit for lit in conclusions if lit.attribute in wanted]
+    wanted = config.target_attributes
+    conclusions = [(lit, index.cover[lit]) for lit in index.literals if wanted is None or lit.attribute in wanted]
+    within = reduce(or_, (ccover for _, ccover in conclusions), 0)
+    # a premise may name a conclusion's attribute unless every conclusion does:
+    # a conflicting value then fails coherence, and the conclusion itself is skipped
+    attrs = {index.attr_bit[lit] for lit, _ in conclusions}
+    excluded = attrs.pop() if len(attrs) == 1 else 0
     out: list[Argument] = []
-    for concl in conclusions:
-        for pmask, pv, conclusive, support in _coherent_extensions(
-            index, concl, 0, 0, config.max_premise_size
-        ):
-            if not pv:
-                continue
-            out.append(
-                Argument(
-                    premise=index.literals_of(pmask),
-                    conclusion=frozenset([concl]),
-                    status=CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID,
-                    weight=support,
-                )
-            )
+    for pmask, pcover in _premises(index, 0, index.all_cases, excluded, within, config.max_premise_size):
+        for concl, ccover in conclusions:
+            if not index.bit[concl] & pmask:
+                _, pv, conclusive, support = index.scan(pcover, ccover)
+                if pv:
+                    out.append(_argument(index, pmask, concl, conclusive, support))
     out.sort(key=Argument.sort_key)
     return out
 
@@ -249,43 +242,27 @@ def find_exceptions(
     base_mask = index.mask_of(arg.premise)
     if base_mask is None:
         return []  # premise uses literals outside the model: nothing to find
-    pattrs = 0
-    for lit in arg.premise:
-        pattrs |= index.attr_bit[lit]
+    pattrs = sum(index.attr_bit[lit] for lit in arg.premise)  # a consistent premise names each attribute once
 
     out: list[Argument] = []
     for parent_lit in sorted(arg.conclusion, key=Literal.sort_key):
-        parent_bit = index.bit[parent_lit]
-        for concl in index.literals:
-            if not concl.conflicts(parent_lit):
-                continue
-            cbit = index.bit[concl]
-            extensions = _coherent_extensions(
-                index, concl, base_mask, pattrs, cap - len(arg.premise)
-            )
-            # the first item is the parent's own premise, which is no exception
-            for pmask, pv, conclusive, support in islice(extensions, 1, None):
-                if not pv:
-                    continue
+        parent_cover = index.cover[parent_lit]
+        rivals = [(lit, index.cover[lit]) for lit in index.literals if lit.conflicts(parent_lit)]
+        within = reduce(or_, (ccover for _, ccover in rivals), 0)
+        premises = _premises(index, base_mask, index.cover_of(arg.premise), pattrs | index.attr_bit[parent_lit],
+                             within, cap - len(arg.premise))
+        # the first item is the parent's own premise, which is no exception
+        for pmask, pcover in islice(premises, 1, None):
+            for concl, ccover in rivals:
+                _, pv, conclusive, support = index.scan(pcover, ccover)
                 # only a decisive overruling counts: under the extended
                 # premise the conflicting value must carry more case weight
                 # than the parent's value, else nothing has been overruled
-                if index.support_sum(pmask | cbit) <= index.support_sum(pmask | parent_bit):
+                if not pv or index.weight_of(pcover & ccover) <= index.weight_of(pcover & parent_cover):
                     continue
-                exc = Argument(
-                    premise=index.literals_of(pmask),
-                    conclusion=frozenset([concl]),
-                    status=CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID,
-                    weight=support,
-                )
+                exc = _argument(index, pmask, concl, conclusive, support)
                 if not conclusive:
-                    nested = find_exceptions(
-                        model,
-                        exc,
-                        remaining_depth - 1,
-                        max_premise_size=max_premise_size,
-                        _index=index,
-                    )
+                    nested = find_exceptions(model, exc, remaining_depth - 1, max_premise_size, _index=index)
                     if nested:
                         exc = replace(exc, exceptions=tuple(nested))
                 out.append(exc)
@@ -296,13 +273,7 @@ def find_exceptions(
 def _attach_exceptions(model: CaseModel, index: CaseIndex, arg: Argument, config: SearchConfig) -> Argument:
     if arg.status == CONCLUSIVE or config.exception_depth == 0:
         return arg
-    excs = find_exceptions(
-        model,
-        arg,
-        config.exception_depth,
-        max_premise_size=config.max_premise_size,
-        _index=index,
-    )
+    excs = find_exceptions(model, arg, config.exception_depth, config.max_premise_size, _index=index)
     return replace(arg, exceptions=tuple(excs)) if excs else arg
 
 
@@ -324,15 +295,15 @@ def _merge_same_premise(index: CaseIndex, args: list[Argument]) -> list[Argument
         groups.setdefault(a.premise, []).append(a)
     merged = []
     for premise, members in groups.items():
-        pmask = index.mask_of(premise)
+        pcover = index.cover_of(premise)
         kept: list[Argument] = []
-        cmask = 0
+        ccover = index.all_cases
         for m in members:  # the first member is valid alone, so it is kept
-            trial = cmask | index.bit[_single_conclusion(m)]
-            _, pv, conclusive, support = index.scan(pmask, trial)
+            trial = ccover & index.cover[_single_conclusion(m)]
+            _, pv, conclusive, support = index.scan(pcover, trial)
             if pv:
                 kept.append(m)
-                cmask = trial
+                ccover = trial
                 joint = conclusive, support
         conclusive, support = joint
         merged.append(

@@ -123,8 +123,8 @@ def best_insertion_oracle(model: CaseModel, target: str, rules: list[Rule]):
     """
     index = CaseIndex(model)
     rows = [
-        (mask, lit.value, weight)
-        for case, mask, weight in zip(model.cases, index.case_masks, index.case_weights)
+        (index.mask_of(case.literals), lit.value, case.weight)
+        for case in model.cases
         if (lit := claim(case.literals, target)) is not None
     ]
     if not rows:

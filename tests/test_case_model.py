@@ -7,11 +7,13 @@ import pytest
 from argmine.case_model import (
     Argument,
     Case,
+    CaseIndex,
     CaseModel,
     Literal,
     build_case_model,
     case_model_from_json,
     case_model_to_json,
+    is_consistent,
     is_presumptively_valid,
     literals,
 )
@@ -19,7 +21,7 @@ from argmine.datasets import presumption_of_innocence
 from argmine.errors import InputError
 
 from conftest import random_case_model
-from oracles import is_coherent, is_conclusive
+from oracles import argument_support, is_coherent, is_conclusive
 
 
 def arg(premise, conclusion):
@@ -202,6 +204,34 @@ class TestTieHandling:
         b = arg({}, {"y": 1})
         assert is_presumptively_valid(model, b)  # holds in every tied maximum
         assert not is_presumptively_valid(model, arg({}, {"y": 2}))  # only in a lighter case
+
+
+class TestCaseIndex:
+    def test_scan_and_weight_of_match_the_definitions(self, rng):
+        # every consistent premise against every consistent one- and two-literal conclusion
+        for _ in range(200):
+            model = random_case_model(rng)
+            index = CaseIndex(model)
+            sets = [
+                frozenset(c)
+                for r in range(len(model.attributes) + 1)
+                for c in itertools.combinations(index.literals, r)
+                if is_consistent(c)
+            ]
+            conclusions = [c for c in sets if 1 <= len(c) <= 2]
+            for premise in sets:
+                pcover = index.cover_of(premise)
+                for conclusion in conclusions:
+                    if premise & conclusion:
+                        continue
+                    a = Argument(premise=premise, conclusion=conclusion)
+                    assert index.scan(pcover, index.cover_of(conclusion)) == (
+                        is_coherent(model, a), is_presumptively_valid(model, a),
+                        is_conclusive(model, a), argument_support(model, a),
+                    ), a
+                    both = premise | conclusion
+                    expected = sum(c.weight for c in model.cases if c.contains(both))
+                    assert index.weight_of(index.cover_of(both)) == expected, a
 
 
 class TestTypesAndJson:

@@ -18,6 +18,9 @@ CONFIGS = {
     "hero ew/2": dict(learner="hero", binning="equal-width", bins=2),
     "hero ew/4": dict(learner="hero", binning="equal-width", bins=4),
     "pruned_search ew/2 mps=2": dict(learner="pruned_search", binning="equal-width", bins=2, max_premise_size=2),
+    # exception depth 5 (the default) with three-literal premises: deep exception mining
+    "pruned_search ew/4 mps=3": dict(learner="pruned_search", binning="equal-width", bins=4, max_premise_size=3),
+    "pruned_search opt mps=2": dict(learner="pruned_search", binning="opt", bins="opt", max_premise_size=2),
     "dectree opt": dict(learner="dectree", binning="opt", bins="opt"),
 }
 
@@ -30,6 +33,10 @@ GOLDEN = {  # name: (model sha256, predictions sha256)
                   "31609b230f045dd3aa126c8a514ff80832488abb974664acc4e14810d96154bd"),
     "pruned_search ew/2 mps=2": ("db3e840e46652f32f220e8a4a6ed9969a5ccc5c9e4473413e0f95de6b7dd2c64",
                                  "50c3a8d4df246deb98696e93e95e72195ac9f13357fd8d071de80321a7fa2adc"),
+    "pruned_search ew/4 mps=3": ("1058657ad7bfef8afe881f4332149a70f2d99d1844e185d1d3523706af382d23",
+                                 "4e4c75050f3ac5dca34888e22072e8d1e3b1ca6da1a271c14e0dd46c6f82bb7b"),
+    "pruned_search opt mps=2": ("7e1b6cf36f249f0808b7fdcdec55b87df385ea04d5656d765358dddf735f55d3",
+                                "adb0791fccd25f6ab001b3ab47d8bfdebaf2dc0b2796bfb46f78b749ea00fbe3"),
 }
 
 

@@ -239,6 +239,8 @@ BAD_INPUTS = [
     "unknown target of hero on a case model", "empty case model", "rule premise that is a list",
     "arguments that are not a list", "tree threshold that is a string", "scheme boundaries that are a string",
     "scheme that is a list", "argument of unknown status", "tree class count that is a string",
+    "theory config that is a list", "argument weight that is a string", "theory max premise size that is a string",
+    "theory target attributes that are a number", "theory model summary that is a number",
 ]
 
 
@@ -322,6 +324,21 @@ def test_bad_input_files_exit_one(tmp_path, data_csv, capsys, case):
     elif case == "argument of unknown status":
         model["arguments"][0]["status"] = "weird"
         argv, named = predict(), "arguments[0].status must be"
+    elif case == "theory config that is a list":
+        argv = predict(model_path=write_json(tmp_path / "theory.json", {"arguments": [], "config": []}))
+        named = "config must be a JSON object"
+    elif case == "argument weight that is a string":
+        model["arguments"][0]["weight"] = "heavy"
+        argv, named = predict(), "arguments[0].weight must be a JSON integer"
+    elif case == "theory max premise size that is a string":
+        model["config"]["max_premise_size"] = "x"
+        argv, named = predict(), "config.max_premise_size must be a JSON integer"
+    elif case == "theory target attributes that are a number":
+        model["config"]["target_attributes"] = 5
+        argv, named = predict(), "config.target_attributes must be a JSON list"
+    elif case == "theory model summary that is a number":
+        model["model_summary"] = 3
+        argv, named = predict(), "model_summary must be a JSON object"
     elif case == "empty case model":
         argv = ["learn", "--input", write_json(tmp_path / "cases.json", {"cases": []}), "--learner", "pruned_search"]
         named = "cannot learn from an empty case model"

@@ -22,7 +22,7 @@ from argmine.errors import InputError
 from argmine.pruned_search import (
     SearchConfig,
     Theory,
-    _coherent_extensions,
+    _premises,
     find_exceptions,
     learn_pruned,
     search_arguments,
@@ -47,13 +47,17 @@ def oracle_presumptively_valid(model):
 
 
 def coherent_arguments(model, max_premise_size):
-    """Status of every coherent (premise, conclusion) pair the level-wise search reaches."""
+    """Status of every coherent (premise, conclusion) pair the premise walk reaches."""
     index = CaseIndex(model)
+    premises = list(_premises(index, 0, index.all_cases, 0, index.all_cases, max_premise_size))
+    assert len({pmask for pmask, _ in premises}) == len(premises), "a premise was walked twice"
     out = {}
-    for concl in index.literals:
-        for pmask, pv, conclusive, _ in _coherent_extensions(index, concl, 0, 0, max_premise_size):
-            status = CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID if pv else COHERENT
-            out[(index.literals_of(pmask), frozenset([concl]))] = status
+    for pmask, pcover in premises:
+        for concl in index.literals:
+            coh, pv, conclusive, _ = index.scan(pcover, index.cover[concl])
+            if coh and not index.bit[concl] & pmask:
+                status = CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID if pv else COHERENT
+                out[(index.literals_of(pmask), frozenset([concl]))] = status
     return out
 
 
