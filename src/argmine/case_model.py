@@ -21,6 +21,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InvariantError
@@ -227,59 +229,50 @@ def build_case_model(rows: Sequence[Mapping[str, Any]]) -> CaseModel:
 
 
 class CaseIndex:
-    """Bitset view of a case model: literals and cases become bit positions.
+    """Bitset view of a case model: literals get ids, cases bit positions.
 
-    Literal ``i`` of ``literals``, in ``Literal.sort_key`` order, is bit
-    ``i`` of a premise mask; this is the order both rule learners
-    enumerate premises in.  Case ``i`` of the model, heaviest first, is
-    bit ``i`` of a cover: ``cover[lit]`` is the set of cases holding
-    ``lit``, and a literal set's cover is the AND of its literals' covers
-    (a tid-list).  Equal weights are adjacent in case order, so covers
-    never grow with case weight and the weights are read per run.
+    Literal ``j`` of ``literals``, in ``Literal.sort_key`` order, has id
+    ``j``; both rule learners enumerate premises as literal-id tuples in
+    this order, and ``ids`` maps literal sets that come in from outside.
+    ``attr_bit[j]`` is the bit of literal ``j``'s attribute.  Case ``i``
+    of the model, heaviest first, is bit ``i`` of a cover: ``cover[j]`` is
+    the set of cases holding literal ``j``, and a literal set's cover is
+    the AND of its literals' covers (a tid-list).  Equal weights are
+    adjacent in case order, so covers never grow with case weight and the
+    weights are read per run.
     """
 
     def __init__(self, model: CaseModel):
         self.literals = model.all_literals()
-        self.bit = {lit: 1 << i for i, lit in enumerate(self.literals)}
+        self.ids = {lit: j for j, lit in enumerate(self.literals)}
         self.attr_ids: dict[str, int] = {}
         for lit in self.literals:
             self.attr_ids.setdefault(lit.attribute, len(self.attr_ids))
-        self.attr_bit = {lit: 1 << self.attr_ids[lit.attribute] for lit in self.literals}
+        self.attr_bit = [1 << self.attr_ids[lit.attribute] for lit in self.literals]
         self.all_cases = (1 << len(model.cases)) - 1
-        case_bits: dict[Literal, list[int]] = {lit: [] for lit in self.literals}
+        case_bits: list[list[int]] = [[] for _ in self.literals]
         # each run of equal weights is one mask; the masks ascend, heaviest run first
         self._run_masks: list[int] = []
         self._run_weights: list[int] = []
         for i, case in enumerate(model.cases):
             for lit in case.literals:
-                case_bits[lit].append(1 << i)
+                case_bits[self.ids[lit]].append(1 << i)
             if self._run_weights and self._run_weights[-1] == case.weight:
                 self._run_masks[-1] |= 1 << i
             else:
                 self._run_masks.append(1 << i)
                 self._run_weights.append(case.weight)
-        # one hash per (case, literal): a Literal's hash runs in Python; distinct bits sum to their OR
-        self.cover = {lit: sum(bits) for lit, bits in case_bits.items()}
+        self.cover = [sum(bits) for bits in case_bits]  # distinct bits sum to their OR
 
-    def mask_of(self, lits: Iterable[Literal]) -> int | None:
-        """Bitmask of a literal set, or None if a literal is unobserved."""
-        m = 0
-        for lit in lits:
-            b = self.bit.get(lit)
-            if b is None:
-                return None
-            m |= b
-        return m
-
-    def literals_of(self, mask: int) -> frozenset[Literal]:
-        return frozenset(lit for lit in self.literals if self.bit[lit] & mask)
+    def ids_of(self, lits: Iterable[Literal]) -> tuple[int, ...] | None:
+        """Ascending ids of a literal set, or None if a literal is unobserved."""
+        ids = [self.ids.get(lit) for lit in lits]
+        return None if None in ids else tuple(sorted(ids))
 
     def cover_of(self, lits: Iterable[Literal]) -> int:
         """The cases holding every literal of ``lits``; an unobserved literal holds in none."""
-        cover = self.all_cases
-        for lit in lits:
-            cover &= self.cover.get(lit, 0)
-        return cover
+        ids = self.ids_of(lits)
+        return 0 if ids is None else reduce(and_, (self.cover[j] for j in ids), self.all_cases)
 
     def weight_of(self, cover: int) -> int:
         """Total weight of the cases in ``cover``."""

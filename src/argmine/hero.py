@@ -139,8 +139,9 @@ class _Trainer:
             raise InputError(f"no case assigns the target attribute {target!r}")
         self._all_rows = (1 << self.total) - 1
         self.values = sorted(self._value_rows, key=value_key)
-        target_bit = self.index.attr_bit[Literal(target, self.values[0])]
-        lit_rows = [0 if self.index.attr_bit[lit] == target_bit else self._rows_of[lit] for lit in self.index.literals]
+        target_bit = 1 << self.index.attr_ids[target]
+        lit_rows = [0 if abit == target_bit else self._rows_of[lit]
+                    for abit, lit in zip(self.index.attr_bit, self.index.literals)]
         # cover -> its smallest nonempty premise as literal ids; the empty one may only be the default
         self._covers: dict[int, tuple[int, ...]] = {}
         level = [((), self._all_rows)]

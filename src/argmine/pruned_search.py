@@ -11,9 +11,10 @@ already supports, each is annotated with recursively mined exceptions
 (grown by the same level-wise walk), and same-premise arguments are
 merged.
 
-All scans run over the bitset view ``case_model.CaseIndex``.  The
-definitional checks of ``case_model`` serve only as a final consistency
-check on the learned theory.
+All scans run over the bitset view ``case_model.CaseIndex`` and hold a
+premise as a tuple of its literal ids; literals come back only to build
+an ``Argument``.  The definitional checks of ``case_model`` serve only
+as a final consistency check on the learned theory.
 """
 
 from __future__ import annotations
@@ -131,9 +132,9 @@ class Theory:
 
 
 def _premises(
-    index: CaseIndex, base: int, cover: int, excluded: int, within: int, levels: int
-) -> Iterator[tuple[int, int]]:
-    """(premise mask, cover) of a base premise and of its extensions by up to ``levels`` literals.
+    index: CaseIndex, base_ids: tuple[int, ...], cover: int, excluded: int, within: int, levels: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(premise literal ids, cover) of a base premise and of its extensions by up to ``levels`` literals.
 
     Extensions add no literal of an attribute in ``excluded``, which holds
     the base's own attributes, and reach only premises whose cover meets
@@ -145,25 +146,24 @@ def _premises(
     """
     if not cover & within:
         return
-    yield base, cover
-    lits = [lit for lit in index.literals if not index.attr_bit[lit] & excluded]
-    ext = [(index.bit[lit], index.attr_bit[lit], index.cover[lit]) for lit in lits]
-    level = [(0, base, excluded, cover)]  # (first literal to add, premise, its attributes, cover)
+    yield base_ids, cover
+    ext = [(j, abit, index.cover[j]) for j, abit in enumerate(index.attr_bit) if not abit & excluded]
+    level = [(0, base_ids, excluded, cover)]  # (first ext entry to add, premise ids, its attributes, cover)
     for _ in range(levels):
         grown = []
-        for start, pmask, attrs, pcover in level:
-            for j in range(start, len(ext)):
-                lbit, abit, lcover = ext[j]
+        for start, ids, attrs, pcover in level:
+            for k in range(start, len(ext)):
+                j, abit, lcover = ext[k]
                 child = pcover & lcover
                 if child & within and not abit & attrs:
-                    yield pmask | lbit, child
-                    grown.append((j + 1, pmask | lbit, attrs | abit, child))
+                    yield ids + (j,), child
+                    grown.append((k + 1, ids + (j,), attrs | abit, child))
         level = grown
 
 
-def _argument(index: CaseIndex, pmask: int, concl: Literal, conclusive: bool, support: int) -> Argument:
+def _argument(index: CaseIndex, ids: tuple[int, ...], concl: Literal, conclusive: bool, support: int) -> Argument:
     status = CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID
-    return Argument(index.literals_of(pmask), frozenset([concl]), status, weight=support)
+    return Argument(frozenset(index.literals[j] for j in ids), frozenset([concl]), status, weight=support)
 
 
 def search_arguments(model: CaseModel, config: SearchConfig) -> list[Argument]:
@@ -175,19 +175,19 @@ def search_arguments(model: CaseModel, config: SearchConfig) -> list[Argument]:
     """
     index = CaseIndex(model)
     wanted = config.target_attributes
-    conclusions = [(lit, index.cover[lit]) for lit in index.literals if wanted is None or lit.attribute in wanted]
-    within = reduce(or_, (ccover for _, ccover in conclusions), 0)
+    conclusions = [(j, lit) for j, lit in enumerate(index.literals) if wanted is None or lit.attribute in wanted]
+    within = reduce(or_, (index.cover[j] for j, _ in conclusions), 0)
     # a premise may name a conclusion's attribute unless every conclusion does:
     # a conflicting value then fails coherence, and the conclusion itself is skipped
-    attrs = {index.attr_bit[lit] for lit, _ in conclusions}
+    attrs = {index.attr_bit[j] for j, _ in conclusions}
     excluded = attrs.pop() if len(attrs) == 1 else 0
     out: list[Argument] = []
-    for pmask, pcover in _premises(index, 0, index.all_cases, excluded, within, config.max_premise_size):
-        for concl, ccover in conclusions:
-            if not index.bit[concl] & pmask:
-                _, pv, conclusive, support = index.scan(pcover, ccover)
+    for ids, pcover in _premises(index, (), index.all_cases, excluded, within, config.max_premise_size):
+        for j, concl in conclusions:
+            if j not in ids:
+                _, pv, conclusive, support = index.scan(pcover, index.cover[j])
                 if pv:
-                    out.append(_argument(index, pmask, concl, conclusive, support))
+                    out.append(_argument(index, ids, concl, conclusive, support))
     out.sort(key=Argument.sort_key)
     return out
 
@@ -239,20 +239,23 @@ def find_exceptions(
     index = _index if _index is not None else CaseIndex(model)
     cap = max_premise_size if max_premise_size is not None else len(index.attr_ids)
 
-    base_mask = index.mask_of(arg.premise)
-    if base_mask is None:
+    base = index.ids_of(arg.premise)
+    if base is None:
         return []  # premise uses literals outside the model: nothing to find
-    pattrs = sum(index.attr_bit[lit] for lit in arg.premise)  # a consistent premise names each attribute once
+    pattrs = sum(index.attr_bit[j] for j in base)  # a consistent premise names each attribute once
 
     out: list[Argument] = []
     for parent_lit in sorted(arg.conclusion, key=Literal.sort_key):
-        parent_cover = index.cover[parent_lit]
-        rivals = [(lit, index.cover[lit]) for lit in index.literals if lit.conflicts(parent_lit)]
+        # an unobserved parent literal holds in no case, so every valid rival overrules it
+        parent_cover = index.cover_of([parent_lit])
+        rivals = [(lit, index.cover[j]) for j, lit in enumerate(index.literals) if lit.conflicts(parent_lit)]
+        if not rivals:
+            continue  # no observed value of the parent's attribute
+        excluded = pattrs | 1 << index.attr_ids[parent_lit.attribute]
         within = reduce(or_, (ccover for _, ccover in rivals), 0)
-        premises = _premises(index, base_mask, index.cover_of(arg.premise), pattrs | index.attr_bit[parent_lit],
-                             within, cap - len(arg.premise))
+        premises = _premises(index, base, index.cover_of(arg.premise), excluded, within, cap - len(arg.premise))
         # the first item is the parent's own premise, which is no exception
-        for pmask, pcover in islice(premises, 1, None):
+        for ids, pcover in islice(premises, 1, None):
             for concl, ccover in rivals:
                 _, pv, conclusive, support = index.scan(pcover, ccover)
                 # only a decisive overruling counts: under the extended
@@ -260,7 +263,7 @@ def find_exceptions(
                 # than the parent's value, else nothing has been overruled
                 if not pv or index.weight_of(pcover & ccover) <= index.weight_of(pcover & parent_cover):
                     continue
-                exc = _argument(index, pmask, concl, conclusive, support)
+                exc = _argument(index, ids, concl, conclusive, support)
                 if not conclusive:
                     nested = find_exceptions(model, exc, remaining_depth - 1, max_premise_size, _index=index)
                     if nested:
@@ -299,7 +302,7 @@ def _merge_same_premise(index: CaseIndex, args: list[Argument]) -> list[Argument
         kept: list[Argument] = []
         ccover = index.all_cases
         for m in members:  # the first member is valid alone, so it is kept
-            trial = ccover & index.cover[_single_conclusion(m)]
+            trial = ccover & index.cover_of(m.conclusion)
             _, pv, conclusive, support = index.scan(pcover, trial)
             if pv:
                 kept.append(m)

@@ -11,7 +11,6 @@ from typing import Any, Mapping, Sequence
 
 from argmine.case_model import (
     Argument,
-    CaseIndex,
     CaseModel,
     Literal,
     _premise_cases,
@@ -121,9 +120,17 @@ def best_insertion_oracle(model: CaseModel, target: str, rules: list[Rule]):
     key of ``learn_hero``; each premise keeps the list of its matching
     rows and sums weights row by row, with the gains as floats.
     """
-    index = CaseIndex(model)
+    lits = model.all_literals()  # literal j is bit j of a row or premise mask
+    lit_bit = {lit: 1 << j for j, lit in enumerate(lits)}
+    attr_bit = {a: 1 << i for i, a in enumerate(dict.fromkeys(lit.attribute for lit in lits))}
+
+    def mask_of(premise) -> int | None:
+        """Bitmask of a literal set, or None if a literal is unobserved."""
+        bits = [lit_bit.get(lit) for lit in premise]
+        return None if None in bits else sum(bits)
+
     rows = [
-        (index.mask_of(case.literals), lit.value, case.weight)
+        (mask_of(case.literals), lit.value, case.weight)
         for case in model.cases
         if (lit := claim(case.literals, target)) is not None
     ]
@@ -132,13 +139,12 @@ def best_insertion_oracle(model: CaseModel, target: str, rules: list[Rule]):
     row_masks, row_targets, row_weights = zip(*rows)
     total = sum(row_weights)
     values = sorted(set(row_targets), key=value_key)
-    target_attr_bit = index.attr_bit[Literal(target, row_targets[0])]
-    lit_bits = [(index.bit[lit], index.attr_bit[lit]) for lit in index.literals]
+    lit_bits = [(lit_bit[lit], attr_bit[lit.attribute]) for lit in lits]
 
     rule_info = []
     for rule in rules:
         lit = claim(rule.conclusion, target)
-        rule_info.append((index.mask_of(rule.premise), lit.value if lit else None))
+        rule_info.append((mask_of(rule.premise), lit.value if lit else None))
     n_rules = len(rules)
     n_pos = n_rules + 1
 
@@ -171,7 +177,7 @@ def best_insertion_oracle(model: CaseModel, target: str, rules: list[Rule]):
         else:
             positions = [n_rules]
         if positions:
-            premise = frozenset(index.literals[j] for j in premise_lits)
+            premise = frozenset(lits[j] for j in premise_lits)
             pkey = literal_set_key(premise)
             for value in values:
                 deltas = [0.0] * (n_pos + 1)
@@ -206,8 +212,8 @@ def best_insertion_oracle(model: CaseModel, target: str, rules: list[Rule]):
     consider((), all_rows)
     # stack entries: (premise literal ids, premise attr mask, matching);
     # the target's attribute starts out set, so no premise names it
-    stack = [((), target_attr_bit, all_rows)]
-    n_lits = len(index.literals)
+    stack = [((), attr_bit[target], all_rows)]
+    n_lits = len(lits)
     while stack:
         premise_lits, attr_mask, matching = stack.pop()
         start = premise_lits[-1] + 1 if premise_lits else 0

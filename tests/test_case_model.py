@@ -233,6 +233,21 @@ class TestCaseIndex:
                     expected = sum(c.weight for c in model.cases if c.contains(both))
                     assert index.weight_of(index.cover_of(both)) == expected, a
 
+    def test_literal_ids_key_covers_and_attribute_bits(self, rng):
+        for _ in range(200):
+            model = random_case_model(rng)
+            index = CaseIndex(model)
+            for j, lit in enumerate(index.literals):
+                assert index.ids[lit] == j
+                assert index.cover[j] == sum(1 << i for i, c in enumerate(model.cases) if lit in c.literals)
+                for k, other in enumerate(index.literals):
+                    assert (index.attr_bit[j] == index.attr_bit[k]) == (lit.attribute == other.attribute)
+            unobserved = Literal("a0", 3)  # random_case_model draws values below 3
+            assert index.ids_of([unobserved]) is None
+            assert index.ids_of([index.literals[-1], unobserved]) is None
+            assert index.cover_of([unobserved]) == 0
+            assert index.ids_of(reversed(index.literals)) == tuple(range(len(index.literals)))
+
 
 class TestTypesAndJson:
     def test_literal_conflict(self):

@@ -13,6 +13,7 @@ from argmine.case_model import (
     CaseIndex,
     CaseModel,
     Literal,
+    claim,
     is_presumptively_valid,
     literal_set_key,
     literals,
@@ -49,15 +50,15 @@ def oracle_presumptively_valid(model):
 def coherent_arguments(model, max_premise_size):
     """Status of every coherent (premise, conclusion) pair the premise walk reaches."""
     index = CaseIndex(model)
-    premises = list(_premises(index, 0, index.all_cases, 0, index.all_cases, max_premise_size))
-    assert len({pmask for pmask, _ in premises}) == len(premises), "a premise was walked twice"
+    premises = list(_premises(index, (), index.all_cases, 0, index.all_cases, max_premise_size))
+    assert len({frozenset(ids) for ids, _ in premises}) == len(premises), "a premise was walked twice"
     out = {}
-    for pmask, pcover in premises:
-        for concl in index.literals:
-            coh, pv, conclusive, _ = index.scan(pcover, index.cover[concl])
-            if coh and not index.bit[concl] & pmask:
+    for ids, pcover in premises:
+        for j, concl in enumerate(index.literals):
+            coh, pv, conclusive, _ = index.scan(pcover, index.cover[j])
+            if coh and j not in ids:
                 status = CONCLUSIVE if conclusive else PRESUMPTIVELY_VALID if pv else COHERENT
-                out[(index.literals_of(pmask), frozenset([concl]))] = status
+                out[(frozenset(index.literals[k] for k in ids), frozenset([concl]))] = status
     return out
 
 
@@ -248,6 +249,17 @@ class TestFindExceptions:
         model = presumption_of_innocence()
         with pytest.raises(InputError):
             find_exceptions(model, parg({"innocent": True}, {"guilty": False}, CONCLUSIVE), 3)
+
+    def test_unobserved_conclusion_value_holds_in_no_case(self):
+        model = presumption_of_innocence()
+        base = parg({}, {"guilty": "maybe"})
+        excs = find_exceptions(model, base, remaining_depth=2)
+        assert excs
+        observed = {lit.value for lit in model.all_literals() if lit.attribute == "guilty"}
+        for e in excs:
+            assert e.premise > base.premise
+            assert claim(e.conclusion, "guilty").value in observed
+            assert is_presumptively_valid(model, e)
 
     def test_zero_depth_returns_nothing(self):
         model = presumption_of_innocence()
