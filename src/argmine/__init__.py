@@ -33,7 +33,6 @@ from .inference import (
     EvalReport,
     detect_self_attack,
     evaluate,
-    grounded_extension,
     predict_rule_list,
     predict_theory,
 )

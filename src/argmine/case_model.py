@@ -12,7 +12,7 @@ case, *presumptively valid* if the conclusion holds in a maximally
 preferred case satisfying the premise, and *conclusive* if it is coherent
 and the conclusion holds in every case satisfying the premise.
 ``CaseIndex.scan`` decides all three from the premise's and the
-conclusion's case bitsets (covers); ``is_presumptively_valid`` spells out
+conclusion's row bitsets (covers); ``is_presumptively_valid`` spells out
 its definition, against which ``learn_pruned`` rechecks its result.
 """
 
@@ -229,17 +229,19 @@ def build_case_model(rows: Sequence[Mapping[str, Any]]) -> CaseModel:
 
 
 class CaseIndex:
-    """Bitset view of a case model: literals get ids, cases bit positions.
+    """Bitset view of a case model: literals get ids, data rows bit positions.
 
     Literal ``j`` of ``literals``, in ``Literal.sort_key`` order, has id
     ``j``; both rule learners enumerate premises as literal-id tuples in
     this order, and ``ids`` maps literal sets that come in from outside.
-    ``attr_bit[j]`` is the bit of literal ``j``'s attribute.  Case ``i``
-    of the model, heaviest first, is bit ``i`` of a cover: ``cover[j]`` is
-    the set of cases holding literal ``j``, and a literal set's cover is
-    the AND of its literals' covers (a tid-list).  Equal weights are
-    adjacent in case order, so covers never grow with case weight and the
-    weights are read per run.
+    ``attr_bit[j]`` is the bit of literal ``j``'s attribute.  Each case,
+    heaviest first, is a block of ``weight`` consecutive bits, one per
+    data row it stands for, starting after the heavier cases' blocks:
+    ``cover[j]`` is the rows holding literal ``j``, a literal set's cover
+    is the AND of its literals' covers (a tid-list), and a cover's total
+    weight is its ``bit_count()``.  Equal weights are adjacent in case
+    order, so the blocks of one weight form one run, the runs ascend, and
+    the weight of a cover's heaviest case is that of its lowest bit's run.
     """
 
     def __init__(self, model: CaseModel):
@@ -249,20 +251,22 @@ class CaseIndex:
         for lit in self.literals:
             self.attr_ids.setdefault(lit.attribute, len(self.attr_ids))
         self.attr_bit = [1 << self.attr_ids[lit.attribute] for lit in self.literals]
-        self.all_cases = (1 << len(model.cases)) - 1
-        case_bits: list[list[int]] = [[] for _ in self.literals]
+        self.cover = [0] * len(self.literals)
         # each run of equal weights is one mask; the masks ascend, heaviest run first
         self._run_masks: list[int] = []
         self._run_weights: list[int] = []
-        for i, case in enumerate(model.cases):
+        rows = 0
+        for case in model.cases:
+            block = ((1 << case.weight) - 1) << rows
+            rows += case.weight
             for lit in case.literals:
-                case_bits[self.ids[lit]].append(1 << i)
+                self.cover[self.ids[lit]] |= block
             if self._run_weights and self._run_weights[-1] == case.weight:
-                self._run_masks[-1] |= 1 << i
+                self._run_masks[-1] |= block
             else:
-                self._run_masks.append(1 << i)
+                self._run_masks.append(block)
                 self._run_weights.append(case.weight)
-        self.cover = [sum(bits) for bits in case_bits]  # distinct bits sum to their OR
+        self.all_cases = (1 << rows) - 1
 
     def ids_of(self, lits: Iterable[Literal]) -> tuple[int, ...] | None:
         """Ascending ids of a literal set, or None if a literal is unobserved."""
@@ -270,13 +274,9 @@ class CaseIndex:
         return None if None in ids else tuple(sorted(ids))
 
     def cover_of(self, lits: Iterable[Literal]) -> int:
-        """The cases holding every literal of ``lits``; an unobserved literal holds in none."""
+        """The rows holding every literal of ``lits``; an unobserved literal holds in none."""
         ids = self.ids_of(lits)
         return 0 if ids is None else reduce(and_, (self.cover[j] for j in ids), self.all_cases)
-
-    def weight_of(self, cover: int) -> int:
-        """Total weight of the cases in ``cover``."""
-        return sum(w * (cover & m).bit_count() for m, w in zip(self._run_masks, self._run_weights))
 
     def _top_weight(self, cover: int) -> int:
         """Weight of the heaviest case in a nonempty cover: its lowest set bit's run."""

@@ -27,6 +27,7 @@ from .pipeline import (
     apply_schemes,
     fit_schemes,
     format_table,
+    is_already_discrete,
     learn_model,
     load_csv,
     load_model,
@@ -144,7 +145,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # a tree names its missing feature when it predicts; rule premises would just fail
     premises = [r.premise for r in model.rules] if isinstance(model, RuleList) else []
     premises += [n.premise for a in model.arguments for n in a.nodes()] if isinstance(model, Theory) else []
-    missing = sorted({lit.attribute for p in premises for lit in p} - set(table.columns) - {args.target})
+    named = {lit.attribute for p in premises for lit in p} - {args.target}
+    missing = sorted(named - set(table.columns))
     if missing:
         raise InputError(f"{args.input} lacks the columns {missing} that the model's premises use")
     if args.schemes:
@@ -154,6 +156,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
         text = [c for c in table.columns if c in schemes and isinstance(table.rows[0][c], str)]
         if text:
             raise InputError(f"{args.input}: {args.schemes} has schemes for text columns {text}")
+        # raw numbers would be matched against bin labels
+        unbinned = sorted(c for c in named - set(schemes) if not is_already_discrete(table.column(c)))
+        if unbinned:
+            raise InputError(
+                f"{args.schemes} has no schemes for the numeric columns {unbinned} that the model's premises use")
         rows = apply_schemes(table, schemes)
     else:
         rows = table.rows

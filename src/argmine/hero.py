@@ -6,13 +6,13 @@ first-match evaluation) and commits the best strictly positive one; it
 stops when nothing improves.
 
 HeRO learns from the same weighted case model as the pruned search: each
-case that assigns the target is one training row, counted with the
-case's weight.  The trainer expands every row to ``weight`` bits of one
-Python int, so a premise's cover (the rows it matches) is the AND of its
-literals' row bitsets and every weighted count is a popcount.  A score
-depends on the cover alone, so one walk over the free sets of the row
-lattice lists each distinct cover once, with its smallest premise, and
-every step scores those.  Gains are compared as integer numerators.
+case that assigns the target stands for ``weight`` training rows.  The
+rows are the bits of ``case_model.CaseIndex``, so a premise's cover (the
+rows it matches) is the AND of its literals' covers and every weighted
+count is a popcount.  A score depends on the cover alone, so one walk
+over the free sets of the row lattice lists each distinct cover once,
+with its smallest premise, and every step scores those.  Gains are
+compared as integer numerators.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ def _first_match(rules: Sequence[Rule], instance: Mapping[str, Any], target: str
 class _Trainer:
     """The rows that assign the target, each cover's smallest premise, and the greedy step.
 
-    A row is such a case, expanded to a run of ``weight`` bits of one
-    Python int; each literal and each target value has its row bitset.
+    The rows are the union of the target values' covers; a literal's row
+    bitset is its cover within them, and empty on the target's attribute.
     The key ranks a cover's premises by (length, literal ids), and
     ``CaseIndex`` numbers literals in ``Literal.sort_key`` order, so each
     nonempty cover is scored with its smallest premise, a free set (no
@@ -123,25 +123,16 @@ class _Trainer:
     def __init__(self, model: CaseModel, target: str):
         self.target = target
         self.index = CaseIndex(model)
-        self._rows_of = {lit: 0 for lit in self.index.literals}
-        self._value_rows: dict[Any, int] = {}
-        self.total = 0
-        for case in model.cases:
-            lit = claim(case.literals, target)
-            if lit is None:
-                continue
-            bits = ((1 << case.weight) - 1) << self.total
-            self.total += case.weight
-            for case_lit in case.literals:
-                self._rows_of[case_lit] |= bits
-            self._value_rows[lit.value] = self._value_rows.get(lit.value, 0) | bits
+        self._value_rows = {lit.value: cover for lit, cover in zip(self.index.literals, self.index.cover)
+                            if lit.attribute == target}
+        self._all_rows = sum(self._value_rows.values())  # a case holds one target value: disjoint covers
+        self.total = self._all_rows.bit_count()
         if not self.total:
             raise InputError(f"no case assigns the target attribute {target!r}")
-        self._all_rows = (1 << self.total) - 1
         self.values = sorted(self._value_rows, key=value_key)
         target_bit = 1 << self.index.attr_ids[target]
-        lit_rows = [0 if abit == target_bit else self._rows_of[lit]
-                    for abit, lit in zip(self.index.attr_bit, self.index.literals)]
+        lit_rows = [0 if abit == target_bit else cover & self._all_rows
+                    for abit, cover in zip(self.index.attr_bit, self.index.cover)]
         # cover -> its smallest nonempty premise as literal ids; the empty one may only be the default
         self._covers: dict[int, tuple[int, ...]] = {}
         level = [((), self._all_rows)]
@@ -181,9 +172,7 @@ class _Trainer:
         correct = 0
         at_least = [0] * n_pos
         for i, rule in enumerate(rules):
-            rows = remaining
-            for lit in rule.premise:
-                rows &= self._rows_of.get(lit, 0)
+            rows = remaining & self.index.cover_of(rule.premise)
             remaining &= ~rows
             lit = claim(rule.conclusion, self.target)
             correct |= rows & self._value_rows.get(lit.value if lit else None, 0)

@@ -5,10 +5,11 @@ A theory predicts the claim of the most specific applicable argument in
 the exception tree of its anchor.  That is the claim that survives
 defeat: an applicable exception defeats its parent when it claims a rival
 target value and is itself undefeated (so an exception to an exception
-reinstates its grandparent), i.e. the `grounded_extension` of the tree's
-acyclic attack graph.  A defeated claim has an undefeated defeater whose
-premise strictly extends its own, so the most specific applicable claim
-is never defeated.
+reinstates its grandparent), i.e. the grounded extension of the tree's
+acyclic attack graph, which the test oracle `grounded_extension` (in
+tests/oracles.py) computes.  A defeated claim has an undefeated defeater
+whose premise strictly extends its own, so the most specific applicable
+claim is never defeated.
 
 Theories and rule lists share one evaluation, the first applicable rule
 (`Theory.rule_list`): an exception's premise properly extends its
@@ -195,27 +196,6 @@ def _chains(source: Theory | RuleList | Sequence[Rule]) -> list[ChainArgument]:
                 )
         frontier = next_frontier
     return nodes
-
-
-def grounded_extension(n: int, attacks: Iterable[tuple[int, int]]) -> frozenset[int]:
-    """Least fixed point of the defense operator over the arguments
-    ``range(n)`` and the (attacker, target) pairs ``attacks``.
-
-    Start from the unattacked arguments and keep adding every argument all
-    of whose attackers are attacked by the current set; the result is the
-    unique grounded extension (Dung 1995), independent of iteration order.
-    """
-    attacks = list(attacks)
-    attackers: list[set[int]] = [set() for _ in range(n)]
-    for a, t in attacks:
-        attackers[t].add(a)
-    current: set[int] = set()
-    while True:
-        attacked_by_current = {t for a, t in attacks if a in current}
-        new = {i for i in range(n) if attackers[i] <= attacked_by_current}
-        if new == current:
-            return frozenset(current)
-        current = new
 
 
 def detect_self_attack(source: Theory | RuleList | Sequence[Rule]) -> list[tuple[ChainArgument, ...]]:

@@ -7,7 +7,7 @@ against them on random models.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from argmine.case_model import (
     Argument,
@@ -47,6 +47,29 @@ def argument_support(model: CaseModel, arg: Argument) -> int | None:
         if case.contains(both):
             return case.weight
     return None
+
+
+# --- inference ----------------------------------------------------------------
+
+def grounded_extension(n: int, attacks: Iterable[tuple[int, int]]) -> frozenset[int]:
+    """Least fixed point of the defense operator over the arguments
+    ``range(n)`` and the (attacker, target) pairs ``attacks``.
+
+    Start from the unattacked arguments and keep adding every argument all
+    of whose attackers are attacked by the current set; the result is the
+    unique grounded extension (Dung 1995), independent of iteration order.
+    """
+    attacks = list(attacks)
+    attackers: list[set[int]] = [set() for _ in range(n)]
+    for a, t in attacks:
+        attackers[t].add(a)
+    current: set[int] = set()
+    while True:
+        attacked_by_current = {t for a, t in attacks if a in current}
+        new = {i for i in range(n) if attackers[i] <= attacked_by_current}
+        if new == current:
+            return frozenset(current)
+        current = new
 
 
 # --- decision tree ------------------------------------------------------------

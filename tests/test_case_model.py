@@ -19,6 +19,8 @@ from argmine.case_model import (
 )
 from argmine.datasets import presumption_of_innocence
 from argmine.errors import InputError
+from argmine.hero import learn_hero, learn_hero_multi
+from argmine.pruned_search import SearchConfig, learn_pruned
 
 from conftest import random_case_model
 from oracles import argument_support, is_coherent, is_conclusive
@@ -26,6 +28,13 @@ from oracles import argument_support, is_coherent, is_conclusive
 
 def arg(premise, conclusion):
     return Argument(premise=literals(premise), conclusion=literals(conclusion))
+
+
+def weights_tripled(theory_json):
+    """A learned theory's JSON with the weight of every argument, exceptions too, times three."""
+    def triple(a):
+        return {**a, "weight": 3 * a["weight"], "exceptions": [triple(e) for e in a["exceptions"]]}
+    return {**theory_json, "arguments": [triple(a) for a in theory_json["arguments"]]}
 
 
 def all_arguments(model):
@@ -231,15 +240,20 @@ class TestCaseIndex:
                     ), a
                     both = premise | conclusion
                     expected = sum(c.weight for c in model.cases if c.contains(both))
-                    assert index.weight_of(index.cover_of(both)) == expected, a
+                    assert index.cover_of(both).bit_count() == expected, a
 
     def test_literal_ids_key_covers_and_attribute_bits(self, rng):
         for _ in range(200):
             model = random_case_model(rng)
             index = CaseIndex(model)
+            # case i, heaviest first, is `weight` bits after the heavier cases' bits
+            starts = list(itertools.accumulate((c.weight for c in model.cases), initial=0))
+            blocks = [((1 << c.weight) - 1) << start for c, start in zip(model.cases, starts)]
+            assert index.all_cases.bit_count() == starts[-1] == sum(c.weight for c in model.cases)
+            assert index.all_cases == sum(blocks)
             for j, lit in enumerate(index.literals):
                 assert index.ids[lit] == j
-                assert index.cover[j] == sum(1 << i for i, c in enumerate(model.cases) if lit in c.literals)
+                assert index.cover[j] == sum(b for b, c in zip(blocks, model.cases) if lit in c.literals)
                 for k, other in enumerate(index.literals):
                     assert (index.attr_bit[j] == index.attr_bit[k]) == (lit.attribute == other.attribute)
             unobserved = Literal("a0", 3)  # random_case_model draws values below 3
@@ -247,6 +261,21 @@ class TestCaseIndex:
             assert index.ids_of([index.literals[-1], unobserved]) is None
             assert index.cover_of([unobserved]) == 0
             assert index.ids_of(reversed(index.literals)) == tuple(range(len(index.literals)))
+
+    def test_tripled_case_weights_triple_only_the_argument_weights(self, rng):
+        # both learners only compare weights, so a model three times as heavy is learned the same way
+        for _ in range(200):
+            model = random_case_model(rng)
+            heavy = CaseModel(tuple(Case(c.literals, 3 * c.weight) for c in model.cases))
+            for mps in (1, 2, 4):
+                config = SearchConfig(max_premise_size=mps, exception_depth=3)
+                expected = weights_tripled(learn_pruned(model, config).to_json())
+                assert json.dumps(learn_pruned(heavy, config).to_json()) == json.dumps(expected), (model, mps)
+            for target in model.attributes:
+                light, tripled = (json.dumps(learn_hero(m, target).to_json()) for m in (model, heavy))
+                assert light == tripled, (model, target)
+            light, tripled = (json.dumps(learn_hero_multi(m).to_json()) for m in (model, heavy))
+            assert light == tripled, model
 
 
 class TestTypesAndJson:

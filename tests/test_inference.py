@@ -10,12 +10,12 @@ from argmine.hero import Rule, RuleList, learn_hero_multi
 from argmine.inference import (
     detect_self_attack,
     evaluate,
-    grounded_extension,
     predict_rule_list,
     predict_theory,
 )
 from argmine.pruned_search import SearchConfig, Theory, learn_pruned
 from conftest import random_case_model
+from oracles import grounded_extension
 
 TOL = 1e-9
 

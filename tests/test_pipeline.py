@@ -19,6 +19,7 @@ from argmine.pipeline import (
     run_experiment,
 )
 from argmine.pruned_search import SearchConfig, learn_pruned
+from test_case_model import weights_tripled
 
 COLUMNS = ["x1", "x2", "flag", "t"]
 
@@ -198,6 +199,18 @@ def test_training_row_order_does_not_change_the_model(boston_training_rows, lear
     assert json.dumps(learn_model(config, shuffled, columns)[1]) == expected
 
 
+@pytest.mark.parametrize("learner", ["pruned_search", "hero"])
+def test_tripled_training_rows_triple_only_the_argument_weights(learner):
+    # Boston ew/2, max_premise_size=2: every row three times over triples every case weight
+    train, _ = pipeline.split(load_csv(datasets.boston_housing_path()), 0.8, seed=0)
+    rows = apply_schemes(train, fit_schemes(train, "equal-width", 2, "MEDV"))
+    config = ExperimentConfig(target="MEDV", learner=learner, max_premise_size=2)
+    expected = learn_model(config, rows, train.columns)[1]
+    if learner == "pruned_search":
+        expected = weights_tripled(expected)
+    assert json.dumps(learn_model(config, rows * 3, train.columns)[1]) == json.dumps(expected)
+
+
 def _tree_nodes(node):
     yield node
     for child in ("left", "right"):
@@ -241,6 +254,7 @@ BAD_INPUTS = [
     "scheme that is a list", "argument of unknown status", "tree class count that is a string",
     "theory config that is a list", "argument weight that is a string", "theory max premise size that is a string",
     "theory target attributes that are a number", "theory model summary that is a number",
+    "schemes without a numeric premise column",
 ]
 
 
@@ -339,6 +353,10 @@ def test_bad_input_files_exit_one(tmp_path, data_csv, capsys, case):
     elif case == "theory model summary that is a number":
         model["model_summary"] = 3
         argv, named = predict(), "model_summary must be a JSON object"
+    elif case == "schemes without a numeric premise column":
+        # the raw x1 values would otherwise be matched against its bin labels
+        del schemes["x1"]
+        argv, named = predict(), "no schemes for the numeric columns ['x1']"
     elif case == "empty case model":
         argv = ["learn", "--input", write_json(tmp_path / "cases.json", {"cases": []}), "--learner", "pruned_search"]
         named = "cannot learn from an empty case model"
