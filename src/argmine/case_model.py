@@ -12,13 +12,12 @@ case, *presumptively valid* if the conclusion holds in a maximally
 preferred case satisfying the premise, and *conclusive* if it is coherent
 and the conclusion holds in every case satisfying the premise.
 ``CaseIndex.scan`` decides all three from the premise's and the
-conclusion's row bitsets (covers); ``is_presumptively_valid`` spells out
+conclusion's case bitsets (covers); ``is_presumptively_valid`` spells out
 its definition, against which ``learn_pruned`` rechecks its result.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
@@ -229,19 +228,24 @@ def build_case_model(rows: Sequence[Mapping[str, Any]]) -> CaseModel:
 
 
 class CaseIndex:
-    """Bitset view of a case model: literals get ids, data rows bit positions.
+    """Bitset view of a case model: literals get ids, cases bit positions.
 
     Literal ``j`` of ``literals``, in ``Literal.sort_key`` order, has id
     ``j``; both rule learners enumerate premises as literal-id tuples in
     this order, and ``ids`` maps literal sets that come in from outside.
-    ``attr_bit[j]`` is the bit of literal ``j``'s attribute.  Each case,
-    heaviest first, is a block of ``weight`` consecutive bits, one per
-    data row it stands for, starting after the heavier cases' blocks:
-    ``cover[j]`` is the rows holding literal ``j``, a literal set's cover
-    is the AND of its literals' covers (a tid-list), and a cover's total
-    weight is its ``bit_count()``.  Equal weights are adjacent in case
-    order, so the blocks of one weight form one run, the runs ascend, and
-    the weight of a cover's heaviest case is that of its lowest bit's run.
+    ``attr_bit[j]`` is the bit of literal ``j``'s attribute.  Case ``i``
+    of the model, heaviest first, is bit ``i`` of a cover: ``cover[j]`` is
+    the set of cases holding literal ``j``, and a literal set's cover is
+    the AND of its literals' covers (a tid-list).  Covers never grow with
+    case weight: a cover's heaviest case is its lowest bit, and its total
+    weight is summed over the binary digits of the weights, one popcount
+    per digit of the largest weight.
+
+    ``widen`` turns a cover into a row bitset, for HeRO, which counts
+    rows: each case, heaviest first, becomes a block of ``weight``
+    consecutive bits, one per data row it stands for, starting after the
+    heavier cases' blocks, so a row bitset's popcount is its weight.  A
+    row bitset grows with the number of rows; a cover does not.
     """
 
     def __init__(self, model: CaseModel):
@@ -251,22 +255,16 @@ class CaseIndex:
         for lit in self.literals:
             self.attr_ids.setdefault(lit.attribute, len(self.attr_ids))
         self.attr_bit = [1 << self.attr_ids[lit.attribute] for lit in self.literals]
-        self.cover = [0] * len(self.literals)
-        # each run of equal weights is one mask; the masks ascend, heaviest run first
-        self._run_masks: list[int] = []
-        self._run_weights: list[int] = []
-        rows = 0
-        for case in model.cases:
-            block = ((1 << case.weight) - 1) << rows
-            rows += case.weight
+        self.all_cases = (1 << len(model.cases)) - 1
+        case_bits: list[list[int]] = [[] for _ in self.literals]
+        for i, case in enumerate(model.cases):
             for lit in case.literals:
-                self.cover[self.ids[lit]] |= block
-            if self._run_weights and self._run_weights[-1] == case.weight:
-                self._run_masks[-1] |= block
-            else:
-                self._run_masks.append(block)
-                self._run_weights.append(case.weight)
-        self.all_cases = (1 << rows) - 1
+                case_bits[self.ids[lit]].append(1 << i)
+        self.cover = [sum(bits) for bits in case_bits]  # distinct bits sum to their OR
+        self._weights = [case.weight for case in model.cases]
+        # plane b: the cases whose weight has binary digit b set
+        self._planes = [sum(1 << i for i, w in enumerate(self._weights) if w >> b & 1)
+                        for b in range(max(self._weights, default=0).bit_length())]
 
     def ids_of(self, lits: Iterable[Literal]) -> tuple[int, ...] | None:
         """Ascending ids of a literal set, or None if a literal is unobserved."""
@@ -274,13 +272,26 @@ class CaseIndex:
         return None if None in ids else tuple(sorted(ids))
 
     def cover_of(self, lits: Iterable[Literal]) -> int:
-        """The rows holding every literal of ``lits``; an unobserved literal holds in none."""
+        """The cases holding every literal of ``lits``; an unobserved literal holds in none."""
         ids = self.ids_of(lits)
         return 0 if ids is None else reduce(and_, (self.cover[j] for j in ids), self.all_cases)
 
+    def weight_of(self, cover: int) -> int:
+        """Total weight of the cases in ``cover``."""
+        return sum((cover & plane).bit_count() << b for b, plane in enumerate(self._planes))
+
+    def widen(self, cover: int) -> int:
+        """The row bitset of ``cover``: its popcount is ``weight_of(cover)``."""
+        rows = start = 0
+        for i, weight in enumerate(self._weights):
+            if cover >> i & 1:
+                rows |= ((1 << weight) - 1) << start
+            start += weight
+        return rows
+
     def _top_weight(self, cover: int) -> int:
-        """Weight of the heaviest case in a nonempty cover: its lowest set bit's run."""
-        return self._run_weights[bisect_left(self._run_masks, cover & -cover)]
+        """Weight of the heaviest case in a nonempty cover: its lowest set bit is that case."""
+        return self._weights[(cover & -cover).bit_length() - 1]
 
     def scan(self, pcover: int, ccover: int):
         """Classify (premise, conclusion) from their covers.

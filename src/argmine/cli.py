@@ -27,7 +27,6 @@ from .pipeline import (
     apply_schemes,
     fit_schemes,
     format_table,
-    is_already_discrete,
     learn_model,
     load_csv,
     load_model,
@@ -145,10 +144,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # a tree names its missing feature when it predicts; rule premises would just fail
     premises = [r.premise for r in model.rules] if isinstance(model, RuleList) else []
     premises += [n.premise for a in model.arguments for n in a.nodes()] if isinstance(model, Theory) else []
-    named = {lit.attribute for p in premises for lit in p} - {args.target}
-    missing = sorted(named - set(table.columns))
+    missing = sorted({lit.attribute for p in premises for lit in p} - set(table.columns) - {args.target})
     if missing:
         raise InputError(f"{args.input} lacks the columns {missing} that the model's premises use")
+    # load_csv reads every number as a float, so a premise's integer value is a bin label
+    binned = {lit.attribute for p in premises for lit in p if type(lit.value) is int} - {args.target}
     if args.schemes:
         schemes = read_json(args.schemes, lambda data: {
             k: BinningScheme.from_json(v, k) for k, v in json_shape(data, dict, "schemes").items()})
@@ -156,13 +156,18 @@ def cmd_predict(args: argparse.Namespace) -> int:
         text = [c for c in table.columns if c in schemes and isinstance(table.rows[0][c], str)]
         if text:
             raise InputError(f"{args.input}: {args.schemes} has schemes for text columns {text}")
-        # raw numbers would be matched against bin labels
-        unbinned = sorted(c for c in named - set(schemes) if not is_already_discrete(table.column(c)))
+        unbinned = sorted(binned - set(schemes))
         if unbinned:
             raise InputError(
-                f"{args.schemes} has no schemes for the numeric columns {unbinned} that the model's premises use")
+                f"{args.schemes} has no schemes for the columns {unbinned} whose bin labels the model's premises use")
         rows = apply_schemes(table, schemes)
     else:
+        # a fractional number is no bin label: the column was never binned
+        raw = sorted(c for c in binned if any(isinstance(v, float) and not v.is_integer() for v in table.column(c)))
+        if raw:
+            raise InputError(
+                f"{args.input} holds raw numbers in the columns {raw} whose bin labels the model's premises use;"
+                " pass their --schemes")
         rows = table.rows
     predictions = predict_rows(model, rows, args.target)
     out = args.output

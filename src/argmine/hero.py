@@ -7,18 +7,20 @@ stops when nothing improves.
 
 HeRO learns from the same weighted case model as the pruned search: each
 case that assigns the target stands for ``weight`` training rows.  The
-rows are the bits of ``case_model.CaseIndex``, so a premise's cover (the
-rows it matches) is the AND of its literals' covers and every weighted
-count is a popcount.  A score depends on the cover alone, so one walk
-over the free sets of the row lattice lists each distinct cover once,
-with its smallest premise, and every step scores those.  Gains are
-compared as integer numerators.
+rows are the bits of ``CaseIndex.widen``'s row bitsets, so a premise's
+cover (the rows it matches) is the AND of its literals' row bitsets and
+every weighted count is a popcount.  A score depends on the cover alone,
+so one walk over the free sets of the row lattice lists each distinct
+cover once, with its smallest premise, and every step scores those.
+Gains are compared as integer numerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import and_
 from typing import Any, Iterable, Mapping, Sequence
 
 from .case_model import (
@@ -108,8 +110,9 @@ def _first_match(rules: Sequence[Rule], instance: Mapping[str, Any], target: str
 class _Trainer:
     """The rows that assign the target, each cover's smallest premise, and the greedy step.
 
-    The rows are the union of the target values' covers; a literal's row
-    bitset is its cover within them, and empty on the target's attribute.
+    The rows are the union of the target values' row bitsets; a
+    literal's row bitset is taken within them, and empty on the target's
+    attribute.
     The key ranks a cover's premises by (length, literal ids), and
     ``CaseIndex`` numbers literals in ``Literal.sort_key`` order, so each
     nonempty cover is scored with its smallest premise, a free set (no
@@ -123,16 +126,17 @@ class _Trainer:
     def __init__(self, model: CaseModel, target: str):
         self.target = target
         self.index = CaseIndex(model)
-        self._value_rows = {lit.value: cover for lit, cover in zip(self.index.literals, self.index.cover)
+        self._lit_rows = [self.index.widen(cover) for cover in self.index.cover]
+        self._value_rows = {lit.value: rows for lit, rows in zip(self.index.literals, self._lit_rows)
                             if lit.attribute == target}
-        self._all_rows = sum(self._value_rows.values())  # a case holds one target value: disjoint covers
+        self._all_rows = sum(self._value_rows.values())  # a case holds one target value: disjoint rows
         self.total = self._all_rows.bit_count()
         if not self.total:
             raise InputError(f"no case assigns the target attribute {target!r}")
         self.values = sorted(self._value_rows, key=value_key)
         target_bit = 1 << self.index.attr_ids[target]
-        lit_rows = [0 if abit == target_bit else cover & self._all_rows
-                    for abit, cover in zip(self.index.attr_bit, self.index.cover)]
+        lit_rows = [0 if abit == target_bit else rows & self._all_rows
+                    for abit, rows in zip(self.index.attr_bit, self._lit_rows)]
         # cover -> its smallest nonempty premise as literal ids; the empty one may only be the default
         self._covers: dict[int, tuple[int, ...]] = {}
         level = [((), self._all_rows)]
@@ -172,7 +176,8 @@ class _Trainer:
         correct = 0
         at_least = [0] * n_pos
         for i, rule in enumerate(rules):
-            rows = remaining & self.index.cover_of(rule.premise)
+            ids = self.index.ids_of(rule.premise)  # None: a literal no case holds
+            rows = 0 if ids is None else reduce(and_, (self._lit_rows[j] for j in ids), remaining)
             remaining &= ~rows
             lit = claim(rule.conclusion, self.target)
             correct |= rows & self._value_rows.get(lit.value if lit else None, 0)

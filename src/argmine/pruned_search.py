@@ -2,10 +2,9 @@
 
 The learner enumerates candidate premises once, level by level, and
 reads every wanted conclusion literal from each premise's cover (the
-bitset of the data rows holding it).  Coherence is the pruning
-criterion: a premise whose cover meets no conclusion's cover is coherent
-with none of them, and neither is any extension of it, so the whole
-branch is cut.
+bitset of the cases holding it).  Coherence is the pruning criterion: a
+premise whose cover meets no conclusion's cover is coherent with none of
+them, and neither is any extension of it, so the whole branch is cut.
 Surviving candidates are classified as presumptively valid or
 conclusive; the top level keeps the arguments no less specific premise
 already supports, each is annotated with recursively mined exceptions
@@ -260,9 +259,9 @@ def find_exceptions(
             for concl, ccover in rivals:
                 _, pv, conclusive, support = index.scan(pcover, ccover)
                 # only a decisive overruling counts: under the extended
-                # premise the conflicting value must hold in more rows than
-                # the parent's value, else nothing has been overruled
-                if not pv or (pcover & ccover).bit_count() <= (pcover & parent_cover).bit_count():
+                # premise the conflicting value must carry more case weight
+                # than the parent's value, else nothing has been overruled
+                if not pv or index.weight_of(pcover & ccover) <= index.weight_of(pcover & parent_cover):
                     continue
                 exc = _argument(index, ids, concl, conclusive, support)
                 if not conclusive:

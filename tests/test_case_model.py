@@ -240,20 +240,22 @@ class TestCaseIndex:
                     ), a
                     both = premise | conclusion
                     expected = sum(c.weight for c in model.cases if c.contains(both))
-                    assert index.cover_of(both).bit_count() == expected, a
+                    assert index.weight_of(index.cover_of(both)) == expected, a
+                    assert index.widen(index.cover_of(both)).bit_count() == expected, a
 
     def test_literal_ids_key_covers_and_attribute_bits(self, rng):
         for _ in range(200):
             model = random_case_model(rng)
             index = CaseIndex(model)
-            # case i, heaviest first, is `weight` bits after the heavier cases' bits
+            assert index.all_cases == (1 << len(model.cases)) - 1
+            # widened, case i, heaviest first, is `weight` row bits after the heavier cases' rows
             starts = list(itertools.accumulate((c.weight for c in model.cases), initial=0))
             blocks = [((1 << c.weight) - 1) << start for c, start in zip(model.cases, starts)]
-            assert index.all_cases.bit_count() == starts[-1] == sum(c.weight for c in model.cases)
-            assert index.all_cases == sum(blocks)
+            assert index.widen(index.all_cases) == sum(blocks) == (1 << starts[-1]) - 1
             for j, lit in enumerate(index.literals):
                 assert index.ids[lit] == j
-                assert index.cover[j] == sum(b for b, c in zip(blocks, model.cases) if lit in c.literals)
+                assert index.cover[j] == sum(1 << i for i, c in enumerate(model.cases) if lit in c.literals)
+                assert index.widen(index.cover[j]) == sum(b for b, c in zip(blocks, model.cases) if lit in c.literals)
                 for k, other in enumerate(index.literals):
                     assert (index.attr_bit[j] == index.attr_bit[k]) == (lit.attribute == other.attribute)
             unobserved = Literal("a0", 3)  # random_case_model draws values below 3

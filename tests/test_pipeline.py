@@ -170,6 +170,17 @@ def test_learn_on_a_case_model(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_pruned_search_bits_do_not_grow_with_case_weights(tmp_path):
+    # a case is one bit of every cover, whatever its weight: 2**64 bits could not be allocated
+    cases = [{"literals": {"a": 1, "b": 0}, "weight": 2**64 + 1}, {"literals": {"a": 0, "b": 0}, "weight": 2**64},
+             {"literals": {"a": 0, "b": 1}, "weight": 3}]
+    out = tmp_path / "model.json"
+    argv = ["learn", "--input", write_json(tmp_path / "cases.json", {"cases": cases}), "--output", str(out)]
+    assert cli.main([*argv, "--learner", "pruned_search"]) == 0
+    root = json.loads(out.read_text())["arguments"][0]
+    assert (root["premise"], root["conclusion"], root["weight"]) == ({}, {"a": 1, "b": 0}, 2**64 + 1)
+
+
 @pytest.mark.parametrize("learner", ["pruned_search", "hero"])
 def test_predict_rules_on_csv_missing_a_feature(tmp_path, data_csv, capsys, learner):
     result = run_experiment(config_for(data_csv, learner))
@@ -177,6 +188,17 @@ def test_predict_rules_on_csv_missing_a_feature(tmp_path, data_csv, capsys, lear
     code, _ = cli_predict(tmp_path, result, narrow_csv)
     assert code == 1
     assert "['x1']" in capsys.readouterr().err
+
+
+def test_predict_takes_a_new_value_in_a_column_discrete_at_training(tmp_path, data_csv):
+    # flag was 0/1 in training, so it has no scheme and its premises hold raw values
+    result = run_experiment(config_for(data_csv, "pruned_search"))
+    assert "flag" not in result.schemes and '"flag": 1.0' in json.dumps(result.model_json)
+    rows = synthetic_rows()
+    rows[0]["flag"] = 2
+    code, preds = cli_predict(tmp_path, result, write_csv(tmp_path / "flag2.csv", rows))
+    assert code == 0
+    assert len(preds.read_text().splitlines()) == len(rows) + 1
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +276,8 @@ BAD_INPUTS = [
     "scheme that is a list", "argument of unknown status", "tree class count that is a string",
     "theory config that is a list", "argument weight that is a string", "theory max premise size that is a string",
     "theory target attributes that are a number", "theory model summary that is a number",
-    "schemes without a numeric premise column",
+    "schemes without a numeric premise column", "one-row input without a binned column's scheme",
+    "raw input without schemes",
 ]
 
 
@@ -356,7 +379,15 @@ def test_bad_input_files_exit_one(tmp_path, data_csv, capsys, case):
     elif case == "schemes without a numeric premise column":
         # the raw x1 values would otherwise be matched against its bin labels
         del schemes["x1"]
-        argv, named = predict(), "no schemes for the numeric columns ['x1']"
+        argv, named = predict(), "no schemes for the columns ['x1']"
+    elif case == "one-row input without a binned column's scheme":
+        # one integer x1 looks discrete, but the model's premises hold x1's bin labels
+        del schemes["x1"]
+        argv = predict()
+        argv[argv.index(data_csv)] = write_csv(tmp_path / "one.csv", [{**synthetic_rows()[0], "x1": 3}])
+        named = "no schemes for the columns ['x1']"
+    elif case == "raw input without schemes":
+        argv, named = predict()[:-2], "raw numbers in the columns ['x1', 'x2']"
     elif case == "empty case model":
         argv = ["learn", "--input", write_json(tmp_path / "cases.json", {"cases": []}), "--learner", "pruned_search"]
         named = "cannot learn from an empty case model"
