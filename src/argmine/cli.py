@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="run a list of experiment configurations")
     p.add_argument("--configs", required=True, help="JSON list of configs")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="run the configs in up to this many separate processes, at most one per config; "
+                        "the results equal those of 1, which runs them in this process (default 1)")
     p.set_defaults(func=cmd_grid)
 
     return parser

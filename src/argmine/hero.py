@@ -13,6 +13,10 @@ every weighted count is a popcount.  A score depends on the cover alone,
 so one walk over the free sets of the row lattice lists each distinct
 cover once, with its smallest premise, and every step scores those.
 Gains are compared as integer numerators.
+
+A row bitset takes one bit per row, so HeRO learns from at most
+``MAX_ROWS`` (1,000,000) rows: a case model whose weights total more is
+rejected with an InputError before any row bitset is built.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ from .case_model import (
     value_key,
 )
 from .errors import InputError
+
+MAX_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,9 @@ class _Trainer:
     """
 
     def __init__(self, model: CaseModel, target: str):
+        rows = sum(case.weight for case in model.cases)
+        if rows > MAX_ROWS:
+            raise InputError(f"HeRO takes at most {MAX_ROWS:,} rows; the case weights total {rows:,}")
         self.target = target
         self.index = CaseIndex(model)
         self._lit_rows = [self.index.widen(cover) for cover in self.index.cover]

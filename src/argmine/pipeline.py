@@ -464,12 +464,20 @@ def write_outputs(result: ExperimentResult) -> None:
 
 
 def run_grid(configs: Sequence[ExperimentConfig], workers: int = 1) -> list[ExperimentResult]:
-    """Run many experiments; configs are independent so workers may help."""
+    """Run many experiments; the results come back in config order.
+
+    With ``workers`` > 1 the configs run in separate processes, at most
+    ``min(workers, len(configs))`` of them, and each result equals the
+    one ``workers=1`` gives.  ``workers=1``, a single config and an empty
+    list run in this process, one config after another.  A config's
+    error is raised here, and no worker process outlives the call.
+    """
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    workers = min(workers, len(configs))
+    if workers <= 1:
+        return [run_experiment(c) for c in configs]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, which no other path needs
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_experiment, configs))
-    return [run_experiment(c) for c in configs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_experiment, configs))

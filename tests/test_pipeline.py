@@ -1,14 +1,18 @@
 """End-to-end tests of the experiment pipeline and the command line."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
+import multiprocessing
 import random
 
 import pytest
 
 from argmine import cli, datasets, discretize, pipeline
+from argmine.case_model import Case, CaseIndex, CaseModel, literals
 from argmine.errors import InputError, InvariantError
+from argmine.hero import MAX_ROWS, learn_hero
 from argmine.pipeline import (
     ExperimentConfig,
     Table,
@@ -260,6 +264,25 @@ def test_non_finite_cells_exit_one(tmp_path, capsys):
     assert "'x1'" in capsys.readouterr().err
 
 
+def test_hero_rejects_case_weights_above_its_row_limit(tmp_path, monkeypatch, capsys):
+    # HeRO counts one bit per row: the check comes before any row bitset is built
+    monkeypatch.setattr(CaseIndex, "widen", lambda *_: pytest.fail("widened a cover"))
+    cases = [{"literals": {"a": 1, "b": 0}, "weight": 2**64 + 1}, {"literals": {"a": 0, "b": 1}, "weight": 3}]
+    argv = ["learn", "--input", write_json(tmp_path / "cases.json", {"cases": cases}), "--learner", "hero"]
+    assert cli.main([*argv, "--target", "a"]) == 1
+    total = f"{2**64 + 4:,}"
+    assert capsys.readouterr().err == f"error: HeRO takes at most {MAX_ROWS:,} rows; the case weights total {total}\n"
+    monkeypatch.undo()
+
+    def model(light_weight):
+        heavy = Case(literals({"a": 1, "b": 0}), MAX_ROWS - 1)
+        return CaseModel((heavy, Case(literals({"a": 0, "b": 1}), light_weight)))
+
+    assert len(learn_hero(model(1), "a").rules) == 2  # exactly MAX_ROWS rows
+    with pytest.raises(InputError, match=f"total {MAX_ROWS + 1:,}$"):
+        learn_hero(model(2), "a")
+
+
 def write_json(path, data):
     path.write_text(json.dumps(data))
     return str(path)
@@ -419,6 +442,58 @@ def test_grid_rejects_fewer_than_one_worker(tmp_path, data_csv, capsys, workers)
     configs = write_json(tmp_path / "grid.json", [{"dataset_path": data_csv, "target": "t", "learner": "hero"}])
     assert cli.main(["grid", "--configs", configs, "--workers", str(workers)]) == 1
     assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+
+def test_grid_pool_is_capped_at_the_config_count(data_csv, monkeypatch):
+    sizes = []
+
+    class RecordingExecutor(concurrent.futures.Executor):
+        """Records the pool size and runs in this process: no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(pipeline, "run_experiment", lambda config: config.seed)
+    configs = [config_for(data_csv, "hero", seed=s) for s in range(3)]
+    assert pipeline.run_grid(configs, workers=10**6) == [0, 1, 2]
+    assert pipeline.run_grid(configs[:1], workers=10**6) == [0]
+    assert pipeline.run_grid([], workers=10**6) == []
+    assert sizes == [3]  # one config or none runs in this process
+
+
+def masked_report(result):
+    return json.dumps({**result.to_json(), "runtime_ms": None}, sort_keys=True)
+
+
+def test_parallel_grid_reports_equal_the_serial_ones():
+    boston = dict(dataset_path="boston", target="MEDV", split_fraction=0.8, seed=0, binning="equal-width", bins=2)
+    configs = [ExperimentConfig(learner="pruned_search", max_premise_size=2, **boston),
+               ExperimentConfig(learner="hero", **boston), ExperimentConfig(learner="dectree", **boston)]
+    parallel = pipeline.run_grid(configs, workers=2)
+    assert multiprocessing.active_children() == []
+    serial = pipeline.run_grid(configs, workers=1)
+    for p, s in zip(parallel, serial, strict=True):
+        assert masked_report(p) == masked_report(s)
+        assert json.dumps(p.model_json) == json.dumps(s.model_json)
+
+
+def test_grid_error_in_a_worker_exits_one(tmp_path, data_csv, capsys):
+    missing = str(tmp_path / "missing.csv")
+    configs = [config_for(data_csv, "hero"), config_for(missing, "hero")]
+    with pytest.raises(InputError, match=r"^\[load\] "):
+        pipeline.run_grid(configs, workers=2)
+    assert multiprocessing.active_children() == []
+    path = write_json(tmp_path / "grid.json", [c.to_json() for c in configs])
+    errors = []
+    for workers in ("1", "2"):
+        assert cli.main(["grid", "--configs", path, "--workers", workers]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: [load] ") and missing in errors[0] and errors[0].count("\n") == 1
 
 
 @pytest.mark.parametrize("config", [{"seed": "0"}, {"bins": True}, {"split_fraction": "0.8"}, {"exception_depth": 5.0}])
